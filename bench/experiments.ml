@@ -509,7 +509,7 @@ let batch env =
 
 (* Replicated serving under chaos: availability and tail latency as the
    replica count and the per-exchange fault rate grow.  Each query runs
-   through {!Client.query_nodes_replicated}: a tampered page or a dead
+   through {!Client.query_nodes_batch_replicated}: a tampered page or a dead
    replica abandons the whole plan and replays it elsewhere, so the
    sweep measures what the failover machinery buys operationally.
    Unlike the [resilience] experiment, the schedule is NOT rewound per
@@ -546,7 +546,7 @@ let replication env =
     let recovery = ref 0.0 and unavailable = ref 0 in
     Array.iter
       (fun (s, t) ->
-        match Client.query_nodes_replicated rset g s t with
+        match Client.query_nodes_batch_replicated rset g [| (s, t) |] with
         | rep ->
             let r = rep.Client.results.(0) in
             let rt = (Response_time.of_replicated rep).(0) in

@@ -23,6 +23,24 @@ module PF = Psp_storage.Page_file
 module Obs = Psp_obs.Obs
 
 (* ------------------------------------------------------------------ *)
+(* Usage errors *)
+
+(* A bad flag value is a usage error, not a crash: [usage] aborts the
+   command, and [command] turns the abort into cmdliner's own usage
+   error (message naming the flag, usage line, exit 124).  Every [run]
+   takes a trailing [()] so that applying it to its parsed flags yields
+   a thunk [command] can run under the handler. *)
+exception Usage of string
+
+let usage fmt = Printf.ksprintf (fun msg -> raise (Usage msg)) fmt
+
+let command info term =
+  let guard run =
+    match run () with () -> `Ok () | exception Usage msg -> `Error (true, msg)
+  in
+  Cmd.v info Term.(ret (const guard $ term))
+
+(* ------------------------------------------------------------------ *)
 (* Shared options *)
 
 let preset_arg =
@@ -86,7 +104,7 @@ let arm_faults specs seed =
     (fun spec ->
       match Psp_fault.Fault.arm_spec ~seed spec with
       | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "bad --fault %S: %s" spec e))
+      | Error e -> usage "bad --fault %S: %s" spec e)
     specs
 
 let report_status (r : Psp_core.Client.result) =
@@ -126,7 +144,7 @@ let load_network preset preset_scale gr co seed =
   | Some name, None, None -> (
       match Psp_netgen.Presets.of_string name with
       | Some p -> Psp_netgen.Presets.graph ~scale:preset_scale ~seed p
-      | None -> failwith (Printf.sprintf "unknown preset %S" name))
+      | None -> usage "unknown --preset %S" name)
   | None, Some gr, Some co -> Psp_netgen.Dimacs.parse_files ~gr_path:gr ~co_path:co
   | None, None, None ->
       (* a handy default: a small city-sized network *)
@@ -136,7 +154,7 @@ let load_network preset preset_scale gr co seed =
           width = 4000.0;
           height = 4000.0;
           seed }
-  | _ -> failwith "pass either --preset or both --gr and --co"
+  | _ -> usage "pass either --preset or both --gr and --co"
 
 let build_database g scheme page_size seed =
   let calibration_queries = Psp_netgen.Synthetic.random_queries g ~count:200 ~seed in
@@ -154,7 +172,14 @@ let build_database g scheme page_size seed =
   | "AF" ->
       let db, _ = DB.build_af ~target_regions:16 ~page_size g in
       Psp_core.Calibrate.af db ~queries:calibration_queries
-  | s -> failwith (Printf.sprintf "unknown scheme %S" s)
+  | s -> usage "unknown --scheme %S" s
+
+(* An explicit -s/-t node id must name a node of the loaded network;
+   [None] keeps the caller's random default. *)
+let node_flag g flag = function
+  | Some v when v < 0 || v >= G.node_count g ->
+      usage "%s %d is out of range: the network has nodes 0..%d" flag v (G.node_count g - 1)
+  | v -> v
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -165,7 +190,7 @@ let generate_cmd =
   in
   let nodes = Arg.(value & opt int 2000 & info [ "nodes" ] ~doc:"Node count.") in
   let edges = Arg.(value & opt (some int) None & info [ "edges" ] ~doc:"Street count.") in
-  let run preset preset_scale seed out nodes edges =
+  let run preset preset_scale seed out nodes edges () =
     let g =
       match preset with
       | Some _ -> load_network preset preset_scale None None seed
@@ -182,7 +207,7 @@ let generate_cmd =
     Printf.printf "wrote %s (%d nodes) and %s (%d directed edges)\n" gr_path
       (G.node_count g) co_path (G.edge_count g)
   in
-  Cmd.v
+  command
     (Cmd.info "generate" ~doc:"Synthesize a road network to DIMACS files")
     Term.(const run $ preset_arg $ preset_scale $ seed_arg $ out $ nodes $ edges)
 
@@ -194,7 +219,7 @@ let build_cmd =
     Arg.(value & opt (some string) None
          & info [ "save" ] ~doc:"Persist the built database bundle to this directory.")
   in
-  let run preset preset_scale gr co seed scheme page_size save =
+  let run preset preset_scale gr co seed scheme page_size save () =
     let g = load_network preset preset_scale gr co seed in
     let started = Unix.gettimeofday () in
     let db = build_database g scheme page_size seed in
@@ -220,7 +245,7 @@ let build_cmd =
         Psp_index.Bundle.save (Psp_index.Bundle.of_database db) ~dir;
         Printf.printf "  bundle saved to %s/\n" dir
   in
-  Cmd.v
+  command
     (Cmd.info "build" ~doc:"Build a scheme database and report its layout")
     Term.(
       const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
@@ -236,9 +261,10 @@ let query_cmd =
     Arg.(value & flag & info [ "oblivious" ] ~doc:"Serve through the real ORAM.")
   in
   let run preset preset_scale gr co seed scheme page_size s t oblivious replicas faults
-      fault_seed metrics =
-    if replicas < 1 then failwith "--replicas must be >= 1";
+      fault_seed metrics () =
+    if replicas < 1 then usage "--replicas must be >= 1";
     let g = load_network preset preset_scale gr co seed in
+    let s = node_flag g "-s" s and t = node_flag g "-t" t in
     let db = build_database g scheme page_size seed in
     let mode = if oblivious then `Oblivious else `Simulated in
     let cost = Psp_pir.Cost_model.ibm4764 in
@@ -255,7 +281,7 @@ let query_cmd =
           Psp_pir.Replica_set.create ~mode ~cost ~key ~replicas (DB.files db)
         in
         fun s t ->
-          let rep = Psp_core.Client.query_nodes_replicated rset g s t in
+          let rep = Psp_core.Client.query_nodes_batch_replicated rset g [| (s, t) |] in
           ( rep.Psp_core.Client.results.(0),
             (Psp_core.Response_time.of_replicated rep).(0),
             Some rep )
@@ -283,7 +309,7 @@ let query_cmd =
     report_metrics metrics;
     exit (status_exit r)
   in
-  Cmd.v
+  command
     (Cmd.info "query" ~doc:"Run one private shortest-path query end to end")
     Term.(
       const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
@@ -304,8 +330,8 @@ let batch_cmd =
     Arg.(value & flag & info [ "oblivious" ] ~doc:"Serve through the real ORAM.")
   in
   let run preset preset_scale gr co seed scheme page_size width count oblivious faults
-      fault_seed metrics =
-    if width <= 0 then failwith "--width must be positive";
+      fault_seed metrics () =
+    if width <= 0 then usage "--width must be positive";
     let g = load_network preset preset_scale gr co seed in
     let db = build_database g scheme page_size seed in
     let mode = if oblivious then `Oblivious else `Simulated in
@@ -367,7 +393,7 @@ let batch_cmd =
       (!total_response /. float_of_int (max 1 count));
     report_metrics metrics
   in
-  Cmd.v
+  command
     (Cmd.info "batch"
        ~doc:"Serve many private queries as merged same-plan batches")
     Term.(
@@ -416,8 +442,10 @@ let serve_cmd =
                    to $(docv) batches in flight (fetch overlaps earlier \
                    batches' decode).  Uses the fixed width of \
                    $(b,--policy fixed:W), or $(b,--max-width) under the \
-                   adaptive policy.  0 (default) disables pipelining; 1 is \
-                   the synchronous schedule.")
+                   adaptive policy.  0 (default) disables pipelining; 1 \
+                   runs batches back to back without overlap, but its \
+                   batch clock also charges decode, so it is not the \
+                   same schedule as 0.")
   in
   let percentile sorted q =
     let n = Array.length sorted in
@@ -427,7 +455,7 @@ let serve_cmd =
       sorted.(max 0 (min (n - 1) (rank - 1)))
   in
   let run preset preset_scale gr co seed page_size tenants count arrivals slo min_width
-      max_width policy pipeline faults fault_seed metrics =
+      max_width policy pipeline faults fault_seed metrics () =
     let policy =
       match String.lowercase_ascii policy with
       | "adaptive" -> Psp_serve.Scheduler.Adaptive
@@ -438,11 +466,11 @@ let serve_cmd =
                 int_of_string_opt (String.sub p (i + 1) (String.length p - i - 1))
               with
               | Some w when w >= 1 -> Psp_serve.Scheduler.Fixed w
-              | _ -> failwith (Printf.sprintf "bad --policy %S: fixed:W needs W >= 1" p))
-          | _ -> failwith (Printf.sprintf "unknown --policy %S" p))
+              | _ -> usage "bad --policy %S: fixed:W needs W >= 1" p)
+          | _ -> usage "unknown --policy %S" p)
     in
     let policy =
-      if pipeline < 0 then failwith "--pipeline needs DEPTH >= 0"
+      if pipeline < 0 then usage "--pipeline needs DEPTH >= 0"
       else if pipeline = 0 then policy
       else
         let width =
@@ -456,12 +484,12 @@ let serve_cmd =
     let process =
       match Psp_netgen.Workload.arrival_of_string arrivals with
       | Ok p -> p
-      | Error e -> failwith (Printf.sprintf "bad --arrivals %S: %s" arrivals e)
+      | Error e -> usage "bad --arrivals %S: %s" arrivals e
     in
     let schemes =
       List.filter (fun s -> s <> "") (String.split_on_char ',' tenants)
     in
-    if schemes = [] then failwith "--tenants needs at least one scheme";
+    if schemes = [] then usage "--tenants needs at least one scheme";
     let g = load_network preset preset_scale gr co seed in
     let cost = Psp_pir.Cost_model.ibm4764 in
     let key = Psp_crypto.Sha256.digest_string "pspc" in
@@ -586,7 +614,7 @@ let serve_cmd =
     end;
     if violations <> [] then exit 4
   in
-  Cmd.v
+  command
     (Cmd.info "serve"
        ~doc:"Serve a mixed multi-tenant query stream through the adaptive scheduler")
     Term.(
@@ -600,7 +628,8 @@ let serve_cmd =
 
 let trace_cmd =
   let count = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Queries to trace.") in
-  let run preset preset_scale gr co seed scheme page_size count faults fault_seed metrics =
+  let run preset preset_scale gr co seed scheme page_size count faults fault_seed metrics
+      () =
     let g = load_network preset preset_scale gr co seed in
     let db = build_database g scheme page_size seed in
     let server =
@@ -651,7 +680,7 @@ let trace_cmd =
             "trace deviates from the fault-free plan (expected under injection): %s\n" e);
     report_metrics metrics
   in
-  Cmd.v
+  command
     (Cmd.info "trace" ~doc:"Show the adversary's view and check indistinguishability")
     Term.(
       const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
@@ -673,7 +702,7 @@ let stats_cmd =
              ~doc:"Print only the constant-shape digest (identical for every \
                    same-plan query; see docs/OBSERVABILITY.md).")
   in
-  let run preset preset_scale gr co seed scheme page_size count json shape_only =
+  let run preset preset_scale gr co seed scheme page_size count json shape_only () =
     let g = load_network preset preset_scale gr co seed in
     let db = build_database g scheme page_size seed in
     let server =
@@ -690,7 +719,7 @@ let stats_cmd =
       Format.printf "%a" Obs.pp ()
     end
   in
-  Cmd.v
+  command
     (Cmd.info "stats"
        ~doc:"Run sample queries and report the oblivious telemetry registry")
     Term.(
@@ -701,7 +730,7 @@ let stats_cmd =
 (* inspect *)
 
 let inspect_cmd =
-  let run preset preset_scale gr co seed =
+  let run preset preset_scale gr co seed () =
     let g = load_network preset preset_scale gr co seed in
     let x0, y0, x1, y1 = G.bounding_box g in
     Printf.printf "nodes: %d\ndirected edges: %d\n" (G.node_count g) (G.edge_count g);
@@ -719,7 +748,7 @@ let inspect_cmd =
     Printf.printf "reachable from node 0: %d (%s)\n" reachable
       (if reachable = G.node_count g then "connected" else "NOT connected")
   in
-  Cmd.v
+  command
     (Cmd.info "inspect" ~doc:"Summarize a network's structure")
     Term.(const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg)
 
@@ -759,7 +788,7 @@ let lint_cmd =
          & info [ "write-baseline" ] ~docv:"FILE"
              ~doc:"Regenerate FILE from the current findings and exit 0.")
   in
-  let run paths quiet audit root sarif baseline write_baseline =
+  let run paths quiet audit root sarif baseline write_baseline () =
     let paths =
       if paths <> [] || root <> None then paths
       else
@@ -773,7 +802,7 @@ let lint_cmd =
       (Psp_lint.Lint.main ?root ?sarif ?baseline ?write_baseline ~paths ~quiet ~audit
          ())
   in
-  Cmd.v
+  command
     (Cmd.info "lint"
        ~doc:"Statically check the oblivious core for secret-dependent behaviour")
     Term.(const run $ paths $ quiet $ audit $ root $ sarif $ baseline $ write_baseline)
@@ -787,8 +816,9 @@ let render_cmd =
   in
   let s_arg = Arg.(value & opt (some int) None & info [ "s" ] ~doc:"Source node id.") in
   let t_arg = Arg.(value & opt (some int) None & info [ "t" ] ~doc:"Destination node id.") in
-  let run preset preset_scale gr co seed scheme page_size out s t =
+  let run preset preset_scale gr co seed scheme page_size out s t () =
     let g = load_network preset preset_scale gr co seed in
+    let s = node_flag g "-s" s and t = node_flag g "-t" t in
     let db = build_database g scheme page_size seed in
     let rng = Psp_util.Rng.create (seed + 7) in
     let s = Option.value ~default:(Psp_util.Rng.int rng (G.node_count g)) s in
@@ -818,7 +848,7 @@ let render_cmd =
       t
       (List.length highlight_regions)
   in
-  Cmd.v
+  command
     (Cmd.info "render" ~doc:"Render the network, partition and a query to SVG")
     Term.(
       const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg

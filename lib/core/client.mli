@@ -61,32 +61,11 @@ exception Replica_failed of {
 (** A replica-level failure ({!Engine.failover_class}: tampering,
     outage, timeout) aborted the plan walk.  The abandoned sessions are
     finished first, so the partial traces and accounted costs travel
-    with the exception; the replicated entry points catch it and replay
-    the whole plan against the next replica.  Escapes {!query} and
-    {!query_batch} only when replica failpoints are armed against a
-    standalone server — there is nowhere to fail over to. *)
-
-val query :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  Psp_pir.Server.t ->
-  sx:float -> sy:float -> tx:float -> ty:float ->
-  result
-(** Execute one shortest-path query from (sx, sy) to (tx, ty).  Source
-    and destination are snapped to the nearest network node of their
-    regions.  [pad] (default true) enforces the query plan with dummy
-    retrievals; calibration passes disable it.
-
-    Transient faults and checksum failures raised by the server are
-    retried under [retry] (default {!default_retry}) with deterministic
-    exponential backoff; the retry schedule depends only on fault
-    outcomes and attempt numbers, never on query content, so traces stay
-    indistinguishable across queries under any fixed fault schedule
-    (DESIGN.md, "Failure handling").  An exhausted budget yields
-    [status = Unavailable _]; an unrecognised scheme tag yields
-    [status = Unknown_scheme _].
-    @raise Failure on a malformed database or a plan the query cannot
-    fit into. *)
+    with the exception; {!query_nodes_batch_replicated} catches it and
+    replays the whole plan against the next replica.  Escapes
+    {!query_batch} and its adapters only when replica failpoints are
+    armed against a standalone server — there is nowhere to fail over
+    to. *)
 
 val query_batch :
   ?pad:bool ->
@@ -95,21 +74,61 @@ val query_batch :
   Psp_pir.Server.t ->
   endpoints array ->
   result array
-(** Execute N queries concurrently over one {!Psp_pir.Batcher}: all
-    members walk the same public plan in lockstep and each fetch slot
-    becomes one merged oblivious-store pass, amortizing the PIR cost
-    (Table 2) across the batch.  Member [i]'s result — path, stats,
-    per-member trace — matches what a sequential [query] would have
-    produced; [client_seconds] reports the per-query share of the
-    batch's wall-clock.  The batch width is public.  A batch-granular
-    fault that exhausts the retry budget degrades {e every} member to
-    [Unavailable] identically.  An empty array returns an empty array
-    without contacting the server.
+(** The one query path.  Execute N queries — source [(sx, sy)] to
+    target [(tx, ty)] each, snapped to the nearest network node of their
+    regions — over one {!Psp_pir.Batcher}: all members walk the same
+    public plan in lockstep and each fetch slot becomes one merged
+    oblivious-store pass, amortizing the PIR cost (Table 2) across the
+    batch.  A single query is a width-1 batch ({!query}).  Member [i]'s
+    result — path, stats, per-member trace — matches what a width-1
+    call would have produced; [client_seconds] reports the per-query
+    share of the batch's wall-clock.  The batch width is public.  An
+    empty array returns an empty array without contacting the server.
+
+    [pad] (default true) enforces the query plan with dummy retrievals;
+    calibration passes disable it.
+
+    Transient faults and checksum failures raised by the server are
+    retried under [retry] (default {!default_retry}) with deterministic
+    exponential backoff; the retry schedule depends only on fault
+    outcomes and attempt numbers, never on query content, so traces stay
+    indistinguishable across queries under any fixed fault schedule
+    (DESIGN.md, "Failure handling").  A fault is batch-granular: an
+    exhausted budget degrades {e every} member to [status =
+    Unavailable _] identically.  An unrecognised scheme tag yields
+    [status = Unknown_scheme _].
 
     [pacing] (default {!Engine.sequential}) threads the engine's phase
     reports to an execution scheduler; {!Psp_async.Pipeline} suspends
     the call at the engine's release point through it.  It changes
-    nothing about what the server observes. *)
+    nothing about what the server observes.
+    @raise Failure on a malformed database or a plan the query cannot
+    fit into. *)
+
+val query :
+  ?pad:bool ->
+  ?retry:retry_policy ->
+  Psp_pir.Server.t ->
+  sx:float -> sy:float -> tx:float -> ty:float ->
+  result
+(** One query from (sx, sy) to (tx, ty): {!query_batch} over a
+    one-element array. *)
+
+val query_nodes :
+  ?pad:bool -> ?retry:retry_policy -> Psp_pir.Server.t -> Psp_graph.Graph.t -> int -> int -> result
+(** Convenience for harnesses: {!query_nodes_batch} over one node
+    pair. *)
+
+val query_nodes_batch :
+  ?pad:bool ->
+  ?retry:retry_policy ->
+  ?pacing:Engine.pacing ->
+  Psp_pir.Server.t ->
+  Psp_graph.Graph.t ->
+  (int * int) array ->
+  result array
+(** {!query_batch} over node-id pairs resolved through the server-side
+    graph. *)
 
 (** {1 Replicated serving}
 
@@ -132,9 +151,9 @@ type abandoned = {
 
 type replicated = {
   results : result array;
-      (** one per query (singleton for {!query_replicated}); a query
-          that survived via failover is at best [Degraded], its retry
-          count raised by the number of failovers *)
+      (** one per query; a query that survived via failover is at
+          best [Degraded], its retry count raised by the number of
+          failovers *)
   replica : int;  (** the replica that served the final attempt *)
   failovers : int;
   failover_seconds : float;
@@ -144,44 +163,6 @@ type replicated = {
   abandoned : abandoned list;  (** oldest first *)
 }
 
-val query_replicated :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?max_failovers:int ->
-  Psp_pir.Replica_set.t ->
-  sx:float -> sy:float -> tx:float -> ty:float ->
-  replicated
-(** {!query} against the replica the set's breakers select, failing
-    over (whole-plan replay) on {!Replica_failed} or retry exhaustion
-    until a replica serves, breakers admit no replica, or
-    [max_failovers] (default [3 × width]) is exceeded — then the last
-    attempt's [Unavailable] results are returned.  Simulated time
-    (attempt costs plus failover backoff) drives the breakers' clock.
-    @raise Psp_pir.Replica_set.No_replica_available only when every
-    breaker is already open before the first attempt. *)
-
-val query_batch_replicated :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?max_failovers:int ->
-  Psp_pir.Replica_set.t ->
-  endpoints array ->
-  replicated
-(** {!query_batch} with the same failover loop: any replica-level fault
-    is batch-granular, so the whole batch replays together and members
-    stay mutually trace-identical on every replica. *)
-
-val query_nodes_replicated :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?max_failovers:int ->
-  Psp_pir.Replica_set.t ->
-  Psp_graph.Graph.t ->
-  int -> int ->
-  replicated
-(** {!query_replicated} over node ids resolved through the server-side
-    graph. *)
-
 val query_nodes_batch_replicated :
   ?pad:bool ->
   ?retry:retry_policy ->
@@ -190,20 +171,14 @@ val query_nodes_batch_replicated :
   Psp_graph.Graph.t ->
   (int * int) array ->
   replicated
-(** {!query_batch_replicated} over node-id pairs. *)
-
-val query_nodes :
-  ?pad:bool -> ?retry:retry_policy -> Psp_pir.Server.t -> Psp_graph.Graph.t -> int -> int -> result
-(** Convenience for harnesses: look up the nodes' coordinates in the
-    (server-side) graph and query by coordinates. *)
-
-val query_nodes_batch :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?pacing:Engine.pacing ->
-  Psp_pir.Server.t ->
-  Psp_graph.Graph.t ->
-  (int * int) array ->
-  result array
-(** {!query_batch} over node-id pairs resolved through the server-side
-    graph. *)
+(** {!query_nodes_batch} against the replica the set's breakers select,
+    failing over (whole-plan replay) on {!Replica_failed} or retry
+    exhaustion until a replica serves, breakers admit no replica, or
+    [max_failovers] (default [3 × width]) is exceeded — then the last
+    attempt's [Unavailable] results are returned.  Any replica-level
+    fault is batch-granular, so the whole batch replays together and
+    members stay mutually trace-identical on every replica; a single
+    query is a one-element array.  Simulated time (attempt costs plus
+    failover backoff) drives the breakers' clock.
+    @raise Psp_pir.Replica_set.No_replica_available only when every
+    breaker is already open before the first attempt. *)

@@ -1,17 +1,7 @@
-module Obs = Psp_obs.Obs
-
-(* Telemetry: the batch width is public — the LBS trivially observes how
-   many concurrent sessions it is serving — so recording it keeps the
-   constant-shape policy intact for any fixed (plan, width) pair. *)
-let m_batches = Obs.counter "pir.batcher.batches"
-let m_width = Obs.histogram "pir.batcher.width"
-
 type t = { server : Server.t; sessions : Server.Session.t array }
 
 let start server ~width =
   if width <= 0 then invalid_arg "Batcher.start: width must be positive";
-  Obs.incr m_batches;
-  Obs.observe m_width (float_of_int width);
   { server;
     sessions = Array.init width (fun _ -> Server.Session.start ~share:width server) }
 

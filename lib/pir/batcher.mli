@@ -17,7 +17,8 @@
     A batcher owns one {!Server.Session} per member, so every member
     keeps its own trace, cost accounting and stats; the privacy tests
     assert the members' traces stay mutually equal and equal to a
-    sequential query's trace.
+    sequential query's trace.  A single query is a width-1 batcher:
+    it is the only way the engine reaches the server.
 
     This module is deliberately the {e same-plan merge core} only.
     Routing a mixed multi-tenant stream to per-plan batchers lives in

@@ -116,7 +116,6 @@ module Session = struct
      every site inside the [@@oblivious] functions below. *)
   let m_sessions = Obs.counter "pir.sessions"
   let m_fetches = Obs.counter "pir.fetch.total"
-  let m_batches = Obs.counter "pir.fetch.batches"
   let m_rounds = Obs.counter "pir.rounds"
   let m_retries = Obs.counter "pir.retries"
   let m_downloads = Obs.counter "pir.download.pages"
@@ -124,6 +123,8 @@ module Session = struct
   let m_pir_seconds = Obs.histogram "pir.session.pir_seconds"
   let m_comm_seconds = Obs.histogram "pir.session.comm_seconds"
   let m_fetch_file name = Obs.counter ("pir.fetch.pages." ^ name)
+  let m_replica_down = Obs.counter "pir.replica.down"
+  let m_replica_spikes = Obs.counter "pir.replica.spikes"
 
   type stats = {
     rounds : int;
@@ -170,34 +171,6 @@ module Session = struct
       fetch_counts = Hashtbl.create 8;
       trace = Trace.create () }
 
-  (* Replica-level chaos, consulted after the attempt is traced (the
-     adversary saw the request even when the replica is dead).  All
-     branches here are on fault-schedule outcomes — public functions of
-     hit ordinals — never on query content. *)
-  let m_replica_down = Obs.counter "pir.replica.down"
-  let m_replica_spikes = Obs.counter "pir.replica.spikes"
-
-  let replica_faults t =
-    (if Psp_fault.Fault.fires "pir.replica.down" then begin
-       Obs.incr m_replica_down;
-       raise (Replica_down { replica = t.server.replica })
-     end)
-    [@leak_ok
-      "replica outage aborts the attempt; the exception carries only the public \
-       replica index and the failover replays the identical public plan elsewhere"];
-    if Psp_fault.Fault.fires "pir.replica.latency" then begin
-      Obs.incr m_replica_spikes;
-      let s = Cost_model.latency_spike_seconds t.server.cost in
-      t.comm_seconds <- t.comm_seconds +. s;
-      t.spike_seconds <- t.spike_seconds +. s;
-      (if t.spike_seconds > Cost_model.timeout_seconds t.server.cost then
-         raise (Replica_timeout { replica = t.server.replica; seconds = t.spike_seconds }))
-      [@leak_ok
-        "the timeout threshold and the accumulated spike delay are deterministic \
-         cost-model quantities, independent of query content"]
-    end
-    [@@oblivious]
-
   let next_round ?(share = 1) t =
     Obs.incr m_rounds;
     t.round <- t.round + 1;
@@ -206,99 +179,23 @@ module Session = struct
 
   let round t = t.round
 
-  let fetch t ~file:name ~page:(page [@secret]) =
-    Obs.with_span "pir_fetch" (fun () ->
-        (* all recorded quantities are public: the file name, a constant
-           delta per fetch and per page — never the secret index *)
-        Obs.incr m_fetches;
-        Obs.incr (m_fetch_file name);
-        Obs.add_pages 1;
-        let f = file t.server name in
-        let pages = Psp_storage.Page_file.page_count f in
-        (* the requested page index is secret: the abort message may only name
-           the file and its public page range, never the index itself *)
-        (if page < 0 || page >= pages then
-           invalid_arg
-             (Printf.sprintf "Session.fetch(%s): page out of range [0,%d)" name pages))
-        [@leak_ok "bounds check fails closed; the message is redacted to public data"];
-        t.pir_seconds <-
-          t.pir_seconds +. Cost_model.pir_fetch_seconds t.server.cost ~file_pages:pages;
-        t.comm_seconds <-
-          t.comm_seconds
-          +. Cost_model.transfer_seconds t.server.cost
-               ~bytes:(Psp_storage.Page_file.page_size f);
-        Hashtbl.replace t.fetch_counts name
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.fetch_counts name));
-        (* the attempt is recorded before any fault fires: the adversary saw
-           the request whether or not the retrieval succeeded *)
-        Trace.record t.trace (Trace.Pir_fetch { round = t.round; file = name });
-        Psp_fault.Fault.inject "pir.fetch.transient";
-        replica_faults t;
-        let bytes =
-          match t.server.mode with
-          | `Simulated -> Psp_storage.Page_file.read f page
-          | `Oblivious | `Pyramid -> (
-              match Hashtbl.find t.server.stores name with
-              | Sqrt store -> Oblivious_store.read store page
-              | Pyramid store -> Pyramid_store.read store page)
-        in
-        let bytes =
-          (if Psp_fault.Fault.fires "pir.fetch.corrupt" then begin
-             (* flip one bit; the checksum gate below must catch it *)
-             let b = Bytes.copy bytes in
-             if Bytes.length b > 0 then
-               Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-             b
-           end
-           else bytes)
-          [@leak_ok
-            "fault-injection test hook: flips one bit of the already-fetched page, whose \
-             length is the file's public page size"]
-        in
-        (if not (Psp_storage.Page_file.verify_page f page bytes) then
-           raise (Page_corrupt { file = name; page }))
-        [@leak_ok
-          "integrity failure aborts the query; the exception stays inside the client trust \
-           boundary and Client.recoverable redacts it to the file name before reporting"];
-        let bytes =
-          (if Psp_fault.Fault.fires "pir.fetch.tamper" then begin
-             (* a Byzantine host recomputes the CRC after altering the page, so
-                the flip lands after the checksum gate — only the keyed tag
-                check below can catch it *)
-             let b = Bytes.copy bytes in
-             if Bytes.length b > 0 then
-               Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
-             b
-           end
-           else bytes)
-          [@leak_ok
-            "fault-injection test hook: flips one bit of the already-fetched page, whose \
-             length is the file's public page size"]
-        in
-        (if not (Psp_storage.Page_file.authenticate f ~key:t.server.key page bytes) then
-           raise (Tampered { file = name; page }))
-        [@leak_ok
-          "authenticity failure aborts the replica, not the query; the exception stays \
-           inside the client trust boundary and the failover replays the identical public \
-           plan against the next replica"];
-        bytes)
-    [@@oblivious]
-
-  (* One merged pass for same-round requests of concurrent sessions.
-     Every member's attempt is accounted and recorded in its own trace
-     *before* the shared failpoint is consulted, so a batch-granular
-     fault (and its retry) adds the same extra events to every member —
-     batched sessions stay mutually trace-identical under any fault
-     schedule.  In the oblivious modes the k probes are executed as one
-     merged level scan per level (fetch_many); the simulated pass cost
-     charges the same marginal page-touch count and is split evenly:
-     each member is charged pir_batch_fetch_seconds / batch. *)
+  (* The private fetch: one merged pass for the same-round requests of
+     k sessions (k = 1 is a single query).  Every member's attempt is
+     accounted and recorded in its own trace *before* any failpoint is
+     consulted — the adversary saw the request whether or not the
+     retrieval succeeded — so a batch-granular fault (and its retry)
+     adds the same extra events to every member: batched sessions stay
+     mutually trace-identical under any fault schedule.  In the
+     oblivious modes the k probes are executed as one merged level scan
+     per level (fetch_many); the simulated pass cost charges the same
+     marginal page-touch count and is split evenly: each member is
+     charged pir_batch_fetch_seconds / batch, which at k = 1 is exactly
+     pir_fetch_seconds. *)
   let fetch_batch ~file:name (requests : (t * int) array) =
     match Array.length requests with
     | 0 -> [||]
     | k ->
-        Obs.with_span "pir_fetch_batch" (fun () ->
-            Obs.incr m_batches;
+        Obs.with_span "pir_fetch" (fun () ->
             let server = (fst requests.(0)).server in
             Array.iter
               (fun (s, _) ->
@@ -318,8 +215,8 @@ module Session = struct
                 Obs.incr m_fetches;
                 Obs.incr (m_fetch_file name);
                 Obs.add_pages 1;
-                (* as in fetch: the abort message may only name the file and
-                   its public page range, never the secret index *)
+                (* the requested page index is secret: the abort message may
+                   only name the file and its public page range *)
                 (if page < 0 || page >= pages then
                    invalid_arg
                      (Printf.sprintf "Session.fetch_batch(%s): page out of range [0,%d)"
@@ -384,6 +281,7 @@ module Session = struct
                 let bytes = contents.(m) in
                 let bytes =
                   (if Psp_fault.Fault.fires "pir.fetch.corrupt" then begin
+                     (* flip one bit; the checksum gate below must catch it *)
                      let b = Bytes.copy bytes in
                      if Bytes.length b > 0 then
                        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
@@ -402,8 +300,9 @@ module Session = struct
                    identical request"];
                 let bytes =
                   (if Psp_fault.Fault.fires "pir.fetch.tamper" then begin
-                     (* as in fetch: the flip lands after the checksum gate,
-                        simulating a host that recomputes the CRC *)
+                     (* a Byzantine host recomputes the CRC after altering
+                        the page, so the flip lands after the checksum gate —
+                        only the keyed tag check below can catch it *)
                      let b = Bytes.copy bytes in
                      if Bytes.length b > 0 then
                        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));

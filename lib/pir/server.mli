@@ -3,8 +3,10 @@
     The server hosts a set of page files (the scheme's database) and
     exposes the two access paths of the architecture:
 
-    - {!Session.fetch}: one page via the PIR interface.  The host learns
-      only (round, file); latency follows {!Cost_model}.
+    - {!Session.fetch_batch}: one page per session via the PIR
+      interface, as one merged pass (a single query is a one-session
+      pass).  The host learns only (round, file) and the public number
+      of sessions; latency follows {!Cost_model}.
     - {!Session.download}: a whole file in plaintext over the SSL link —
       only ever used for the public header, which every client fetches.
     - {!Session.plain_fetch}: an unsecured page read, used exclusively
@@ -26,13 +28,13 @@ exception File_too_large of { file : string; bytes : int; limit : int }
     (§3.2) — this is how PI "becomes inapplicable" on large networks. *)
 
 exception Page_corrupt of { file : string; page : int }
-(** Raised by {!Session.fetch} when a retrieved page fails its CRC-32
+(** Raised by {!Session.fetch_batch} when a retrieved page fails its CRC-32
     check against the checksum recorded at append time — corruption in
     storage or in flight, detected before the payload reaches protocol
     code.  Clients treat it like a transient fault and re-fetch. *)
 
 exception Tampered of { file : string; page : int }
-(** Raised by {!Session.fetch} when a retrieved page passes the CRC but
+(** Raised by {!Session.fetch_batch} when a retrieved page passes the CRC but
     fails its pack-time HMAC tag ({!Psp_storage.Page_file.authenticate})
     — a Byzantine host altered content and recomputed the checksum.
     Unlike {!Page_corrupt} this is {e not} retried in place: the replica
@@ -105,41 +107,25 @@ module Session : sig
 
   val round : t -> int
 
-  val fetch : t -> file:string -> page:int -> bytes
-  (** Private page retrieval via the SCP.  The returned page is verified
-      against its recorded CRC-32 and then against its pack-time HMAC
-      tag before being released.
-
-      The trace event and cost accounting for the attempt happen
-      {e before} any fault can fire: a failed retrieval is still part of
-      the adversary's view.  Failpoints: [pir.fetch.transient] (raises
-      {!Psp_fault.Fault.Injected}), [pir.fetch.corrupt] (flips a bit in
-      the retrieved page, which the checksum gate converts into
-      {!Page_corrupt}), [pir.fetch.tamper] (flips a bit {e after} the
-      checksum gate — a Byzantine host recomputing the CRC — which the
-      tag gate converts into {!Tampered}), [pir.replica.down] (raises
-      {!Replica_down}) and [pir.replica.latency] (adds
-      {!Cost_model.latency_spike_seconds} to the session; past
-      {!Cost_model.timeout_seconds} cumulative it raises
-      {!Replica_timeout}).
-
-      @raise Not_found on unknown file; Invalid_argument on a bad page
-      number; {!Page_corrupt} on a checksum failure; {!Tampered} on a
-      tag failure; {!Replica_down}/{!Replica_timeout} on replica
-      faults. *)
-
   val fetch_batch : file:string -> (t * int) array -> bytes array
-(** One merged oblivious-store pass serving same-round requests of
-      concurrent sessions (the {!Psp_pir.Batcher} building block).  Each
-      member's attempt is accounted and recorded in its own trace before
-      the shared [pir.fetch.transient] failpoint is consulted, so a
-      fault — and the retry that re-issues every member's identical
-      request — adds the same events to every member: batched sessions
-      stay mutually trace-identical under any fault schedule.
+  (** Private page retrieval via the SCP: session [s] of each pair
+      [(s, page)] retrieves [page] from [file], and the whole array is
+      served as one merged oblivious-store pass.  A single query is a
+      one-element array; a {!Psp_pir.Batcher} passes one pair per
+      member.  Each returned page is verified against its recorded
+      CRC-32 and then against its pack-time HMAC tag before being
+      released.
+
+      Each member's trace event and cost accounting happen {e before}
+      any fault can fire: a failed retrieval is still part of the
+      adversary's view, and a fault — with the retry that re-issues
+      every member's identical request — adds the same events to every
+      member, so batched sessions stay mutually trace-identical under
+      any fault schedule.
 
       The pass cost {!Cost_model.pir_batch_fetch_seconds} is split
-      evenly across members; with one request the cost, trace and fault
-      behaviour equal {!fetch} exactly.  In [`Oblivious]/[`Pyramid]
+      evenly across members; with one request it is exactly
+      {!Cost_model.pir_fetch_seconds}.  In [`Oblivious]/[`Pyramid]
       modes the k probes are {e executed} as one merged pass
       ({!Pyramid_store.fetch_many} / {!Oblivious_store.fetch_many}):
       one sequential scan per level serves every member, per-member
@@ -148,16 +134,25 @@ module Session : sig
       {!Cost_model.batch_probe_touches} basis by construction (both
       sides derive the depth from {!Cost_model.pyramid_levels}).
 
-      Replica faults are batch-granular: [pir.replica.down] and
-      [pir.replica.latency] are consulted once per merged pass and their
-      effect (abort, or spike delay) applies to every member, so batched
-      sessions stay mutually trace-identical.  [pir.fetch.tamper]
-      mirrors [pir.fetch.corrupt]: consulted per member, but any
-      {!Tampered} aborts the whole batch.
+      Failpoints: [pir.fetch.transient] (raises
+      {!Psp_fault.Fault.Injected}) is consulted once per pass;
+      [pir.fetch.corrupt] (flips a bit in the retrieved page, which the
+      checksum gate converts into {!Page_corrupt}) and
+      [pir.fetch.tamper] (flips a bit {e after} the checksum gate — a
+      Byzantine host recomputing the CRC — which the tag gate converts
+      into {!Tampered}) are consulted per member, and any failure aborts
+      the whole pass.  Replica faults are pass-granular:
+      [pir.replica.down] (raises {!Replica_down}) and
+      [pir.replica.latency] (adds {!Cost_model.latency_spike_seconds} to
+      every member; past {!Cost_model.timeout_seconds} cumulative it
+      raises {!Replica_timeout}) are consulted once per pass.
 
-      @raise Invalid_argument if the sessions belong to different
-      servers or a page is out of range; {!Page_corrupt}, {!Tampered},
-      {!Replica_down} and {!Replica_timeout} abort the whole batch. *)
+      An empty array returns an empty array without touching the
+      server.
+      @raise Not_found on unknown file; Invalid_argument if the
+      sessions belong to different servers or a page is out of range;
+      {!Page_corrupt}, {!Tampered}, {!Replica_down} and
+      {!Replica_timeout} abort the whole pass. *)
 
   val download : t -> file:string -> bytes array
   (** Plaintext download of an entire (public) file.  Failpoint:

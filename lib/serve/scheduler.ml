@@ -234,8 +234,10 @@ let run ?pad ?retry cfg ~tenants ~jobs =
   in
   (* Pipelined mode runs each batch as a Psp_async.Pipeline fiber and
      keeps TWO timelines.  The {e formation} clock is [now], and it
-     advances by fetch + modeled decode per batch — the synchronous
-     schedule — so which jobs are queued when the next batch forms is
+     advances by fetch + modeled decode per batch — the depth-1
+     schedule, which is NOT the Fixed/Adaptive loop's clock (that one
+     advances by service_of, server time only) — so which jobs are
+     queued when the next batch forms is
      identical at every depth: batch composition, and with it every
      member's trace and the server's fetch sequence, is
      depth-independent by construction.  The {e execution} timeline

@@ -47,9 +47,18 @@ type policy =
           is decided on a {e formation} clock that advances by fetch +
           modeled decode per batch regardless of [depth], so every
           member's trace and the server's fetch sequence are
-          byte-identical across depths — [depth = 1] {e is} the
-          synchronous schedule; only reported completion instants
-          change (test/test_pipeline.ml asserts both).  Benchmarked by
+          byte-identical across depths; only reported completion
+          instants change (test/test_pipeline.ml asserts this against
+          the [depth = 1] run).
+
+          [depth = 1] runs batches back to back without overlap, but it
+          is {e not} the {!Fixed} schedule: {!Fixed} and {!Adaptive}
+          advance their clock by server service only, while the
+          formation clock also charges modeled decode.  The same stream
+          can therefore form batches at different instants and finish
+          later — 16 CI jobs in bursts of 4 every 2 s on a 150-node
+          network: last-job latency 12.033 s under [Fixed 4], 12.381 s
+          under [Pipelined {width = 4; depth = 1}].  Benchmarked by
           [bench --experiment pipeline]. *)
 
 type config = {

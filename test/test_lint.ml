@@ -381,9 +381,9 @@ let test_core_secrets_seeded () =
   Alcotest.(check (list string))
     "client query secrets" [ "sx"; "sy"; "tx"; "ty" ] (audit_of "query").secrets;
   Alcotest.(check (list string))
-    "session fetch secrets" [ "page" ] (audit_of "Session.fetch").secrets;
+    "session fetch secrets" [ "page" ] (audit_of "Session.fetch_batch").secrets;
   Alcotest.(check bool) "session fetch justifies sites" true
-    ((audit_of "Session.fetch").justified >= 3)
+    ((audit_of "Session.fetch_batch").justified >= 3)
 
 let () =
   Alcotest.run "lint"

@@ -338,6 +338,67 @@ let test_constant_shape () =
       ("PI", DB.build_pi ~page_size g);
       ("HY", DB.build_hy ~threshold:5 ~page_size g) ]
 
+(* The fetch spans follow the public plan, at every batch width: under
+   each [window:<file>] span, [pir_fetch] runs once per plan slot — one
+   merged pass serves the whole batch — and attributes one page per
+   member.  The batch-only instruments a second query stack used to
+   record must stay gone. *)
+let retired_instruments =
+  [ "client.batches"; "client.batch_width"; "pir.batcher.batches"; "pir.batcher.width";
+    "pir.fetch.batches"; "pir_fetch_batch" ]
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_fetch_spans_follow_plan () =
+  let queries = Psp_netgen.Synthetic.random_queries g ~count:4 ~seed:7 in
+  List.iter
+    (fun (name, db) ->
+      let header = db.DB.header in
+      let steps =
+        Psp_index.Query_plan.steps header.Psp_index.Header.plan
+          ~pages_per_region:header.Psp_index.Header.pages_per_region
+      in
+      let slots =
+        List.fold_left
+          (fun acc step ->
+            match step with
+            | Psp_index.Query_plan.Fetch_window { file; count } ->
+                let prev = Option.value ~default:0 (List.assoc_opt file acc) in
+                (file, prev + count) :: List.remove_assoc file acc
+            | Psp_index.Query_plan.Next_round | Psp_index.Query_plan.Decode_barrier _ ->
+                acc)
+          [] steps
+      in
+      Alcotest.(check bool) (name ^ ": plan fetches") true (slots <> []);
+      List.iter
+        (fun width ->
+          let server = Server.create ~cost ~key (DB.files db) in
+          Obs.reset ();
+          let rs = Client.query_nodes_batch server g (Array.sub queries 0 width) in
+          Alcotest.(check int) (name ^ ": one result per member") width (Array.length rs);
+          List.iter
+            (fun (file, count) ->
+              let path = Printf.sprintf "query/window:%s/pir_fetch" file in
+              let label what = Printf.sprintf "%s width %d: %s %s" name width path what in
+              match Obs.span_stats path with
+              | None -> Alcotest.failf "%s: span missing" (label "")
+              | Some st ->
+                  Alcotest.(check int) (label "calls") count st.Obs.calls;
+                  Alcotest.(check int) (label "pages") (width * count) st.Obs.pages)
+            slots;
+          let shape = Obs.shape () in
+          List.iter
+            (fun sub ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s width %d: no %s in shape" name width sub)
+                false (contains ~sub shape))
+            retired_instruments)
+        [ 1; 4 ])
+    [ ("CI", DB.build_ci ~page_size g); ("PI", DB.build_pi ~page_size g) ]
+
 let () =
   Alcotest.run "obs"
     [ ( "histogram",
@@ -351,5 +412,7 @@ let () =
       ( "export",
         [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip ] );
       ( "constant-shape",
-        [ Alcotest.test_case "same plan, same shape" `Quick test_constant_shape ] )
+        [ Alcotest.test_case "same plan, same shape" `Quick test_constant_shape;
+          Alcotest.test_case "fetch spans follow the plan" `Quick
+            test_fetch_spans_follow_plan ] )
     ]

@@ -283,7 +283,7 @@ let test_pyramid_server_mode () =
   let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
   let s = Session.start server in
   for i = 0 to 19 do
-    let got = Session.fetch s ~file:"data" ~page:i in
+    let got = (Session.fetch_batch ~file:"data" [| (s, i) |]).(0) in
     Alcotest.(check string) "pyramid-served read" (Printf.sprintf "page-%06d" i)
       (Bytes.to_string (Bytes.sub got 0 11))
   done
@@ -295,10 +295,10 @@ let test_server_fetch_accounting () =
   let f = make_file ~pages:10 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
   let s = Session.start server in
-  ignore (Session.fetch s ~file:"data" ~page:3);
+  ignore (Session.fetch_batch ~file:"data" [| (s, 3) |]);
   Session.next_round s;
-  ignore (Session.fetch s ~file:"data" ~page:4);
-  ignore (Session.fetch s ~file:"data" ~page:4);
+  ignore (Session.fetch_batch ~file:"data" [| (s, 4) |]);
+  ignore (Session.fetch_batch ~file:"data" [| (s, 4) |]);
   let stats = Session.finish s in
   Alcotest.(check int) "rounds" 2 stats.Session.rounds;
   Alcotest.(check (list (pair string int))) "fetch counts" [ ("data", 3) ]
@@ -315,7 +315,7 @@ let test_server_trace_hides_pages () =
   let server = Server.create ~cost:small_cost ~key [ f ] in
   let run pages =
     let s = Session.start server in
-    List.iter (fun p -> ignore (Session.fetch s ~file:"data" ~page:p)) pages;
+    List.iter (fun p -> ignore (Session.fetch_batch ~file:"data" [| (s, p) |])) pages;
     (Session.finish s).Session.trace
   in
   (* different page numbers, same trace *)
@@ -326,7 +326,7 @@ let test_server_oblivious_mode () =
   let server = Server.create ~mode:`Oblivious ~cost:small_cost ~key [ f ] in
   let s = Session.start server in
   for i = 0 to 11 do
-    let got = Session.fetch s ~file:"data" ~page:i in
+    let got = (Session.fetch_batch ~file:"data" [| (s, i) |]).(0) in
     Alcotest.(check string) "oblivious read correct" (Printf.sprintf "page-%06d" i)
       (Bytes.to_string (Bytes.sub got 0 11))
   done

@@ -175,7 +175,7 @@ let test_tamper_survived_via_failover () =
   let set = rset () in
   let s, t = queries.(0) in
   with_faults [ ("pir.fetch.tamper", F.First 1) ] (fun () ->
-      let rep = Client.query_nodes_replicated set g s t in
+      let rep = Client.query_nodes_batch_replicated set g [| (s, t) |] in
       let r = rep.Client.results.(0) in
       check_correct "tamper" r s t;
       Alcotest.(check int) "one failover" 1 rep.Client.failovers;
@@ -202,7 +202,7 @@ let test_tamper_never_wrong_path () =
   let truth = Psp_graph.Dijkstra.distance g s t in
   with_faults [ ("pir.fetch.tamper", F.Probability 0.2) ] (fun () ->
       for _ = 1 to 5 do
-        match Client.query_nodes_replicated set g s t with
+        match Client.query_nodes_batch_replicated set g [| (s, t) |] with
         | exception RS.No_replica_available ->
             (* every breaker open is a legitimate outage; let simulated
                time pass so the set can heal *)
@@ -225,7 +225,7 @@ let test_down_burst_survived () =
   let s, t = queries.(2) in
   (* both replicas answer dead once each, then the burst passes *)
   with_faults [ ("pir.replica.down", F.First 2) ] (fun () ->
-      let rep = Client.query_nodes_replicated set g s t in
+      let rep = Client.query_nodes_batch_replicated set g [| (s, t) |] in
       check_correct "down burst" rep.Client.results.(0) s t;
       Alcotest.(check int) "two failovers" 2 rep.Client.failovers;
       Alcotest.(check int) "back on replica 0" 0 rep.Client.replica)
@@ -235,7 +235,7 @@ let test_timeout_fails_over () =
   let s, t = queries.(3) in
   (* three spikes of 10 RTT pass the 25-RTT budget on replica 0 only *)
   with_faults [ ("pir.replica.latency", F.First 3) ] (fun () ->
-      let rep = Client.query_nodes_replicated set g s t in
+      let rep = Client.query_nodes_batch_replicated set g [| (s, t) |] in
       check_correct "timeout" rep.Client.results.(0) s t;
       Alcotest.(check int) "one failover" 1 rep.Client.failovers;
       match rep.Client.abandoned with
@@ -248,7 +248,7 @@ let test_all_replicas_down_unavailable () =
   let set = rset () in
   let s, t = queries.(4) in
   with_faults [ ("pir.replica.down", F.Always) ] (fun () ->
-      let rep = Client.query_nodes_replicated ~max_failovers:4 set g s t in
+      let rep = Client.query_nodes_batch_replicated ~max_failovers:4 set g [| (s, t) |] in
       let r = rep.Client.results.(0) in
       Alcotest.(check bool) "no path" true (r.Client.path = None);
       match r.Client.status with
@@ -267,7 +267,7 @@ let test_retry_exhaustion_fails_over () =
   let s, t = queries.(5) in
   with_faults [ ("pir.fetch.transient", F.First 1000) ] (fun () ->
       let retry = { Client.max_attempts = 2; base_backoff = 0.1 } in
-      let rep = Client.query_nodes_replicated ~retry set g s t in
+      let rep = Client.query_nodes_batch_replicated ~retry set g [| (s, t) |] in
       let r = rep.Client.results.(0) in
       Alcotest.(check bool) "eventually unavailable or served" true
         (match r.Client.status with
@@ -294,7 +294,7 @@ let test_traces_equal_across_queries () =
       let run (s, t) =
         with_faults arms (fun () ->
             let set = rset () in
-            let rep = Client.query_nodes_replicated set g s t in
+            let rep = Client.query_nodes_batch_replicated set g [| (s, t) |] in
             check_correct label rep.Client.results.(0) s t;
             attempt_fingerprints rep)
       in
@@ -372,7 +372,7 @@ let test_seed_sweep () =
     let run (s, t) =
       with_faults arms (fun () ->
           let set = rset ~replicas:3 () in
-          attempt_fingerprints (Client.query_nodes_replicated set g s t))
+          attempt_fingerprints (Client.query_nodes_batch_replicated set g [| (s, t) |]))
     in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: distinct queries, equal per-replica views" seed)
