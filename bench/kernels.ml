@@ -29,6 +29,22 @@ let tests env =
   let blob = Bytes.make 4096 'x' in
   let chacha_key = Psp_crypto.Sha256.digest_string "bench" in
   let nonce = Bytes.make 12 'n' in
+  (* the per-slot keyed work of a Pyramid access: a slot permutation
+     over a small level, a Bloom probe and a 16-byte PRF input *)
+  let feistel = Psp_crypto.Feistel.create ~key:chacha_key ~domain:300 in
+  let bloom =
+    Psp_crypto.Bloom.sized_for ~key:chacha_key ~label:"bench" ~expected:1024 ~fp_rate:0.01
+  in
+  for i = 0 to 1023 do
+    Psp_crypto.Bloom.add bloom (2 * i)
+  done;
+  let mac_key = Psp_crypto.Hmac.prepare chacha_key in
+  let msg16 = Bytes.make 16 'm' in
+  let probe = ref 0 in
+  let next_probe () =
+    incr probe;
+    !probe
+  in
   let region_blob =
     Psp_index.Encoding.encode_region Psp_index.Encoding.plain_config g
       (Psp_partition.Kdtree.nodes_of_region db.DB.partition 0)
@@ -45,6 +61,12 @@ let tests env =
     Test.make ~name:"sha256 4KB" (Staged.stage (fun () -> ignore (Psp_crypto.Sha256.digest blob)));
     Test.make ~name:"chacha20 4KB" (Staged.stage (fun () ->
         ignore (Psp_crypto.Chacha20.encrypt ~key:chacha_key ~nonce blob)));
+    Test.make ~name:"feistel forward (domain 300)" (Staged.stage (fun () ->
+        ignore (Psp_crypto.Feistel.forward feistel (next_probe () mod 300))));
+    Test.make ~name:"bloom mem" (Staged.stage (fun () ->
+        ignore (Psp_crypto.Bloom.mem bloom (next_probe () land 2047))));
+    Test.make ~name:"hmac prepared 16B" (Staged.stage (fun () ->
+        ignore (Psp_crypto.Hmac.mac_prepared mac_key msg16)));
     Test.make ~name:"oram read" (Staged.stage (fun () ->
         ignore (Psp_pir.Oblivious_store.read store 17)));
     Test.make ~name:"region decode" (Staged.stage (fun () ->

@@ -11,7 +11,8 @@ val block : key:bytes -> nonce:bytes -> counter:int -> bytes
 
 val encrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
 (** XOR the keystream into the plaintext.  Encryption and decryption are
-    the same operation. *)
+    the same operation.  Block [i] uses counter [(counter + i) mod 2^32].
+    @raise Invalid_argument on wrong key/nonce sizes. *)
 
 val decrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
 

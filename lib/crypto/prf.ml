@@ -1,6 +1,6 @@
-type t = { key : bytes }
+type t = { key : Hmac.prepared }
 
-let create ~key ~label = { key = Hmac.derive ~key ~label }
+let create ~key ~label = { key = Hmac.prepare (Hmac.derive ~key ~label) }
 
 let mac_of_int t x salt =
   let buf = Bytes.create 16 in
@@ -8,7 +8,7 @@ let mac_of_int t x salt =
     Bytes.set buf i (Char.chr ((x lsr (8 * i)) land 0xFF));
     Bytes.set buf (8 + i) (Char.chr ((salt lsr (8 * i)) land 0xFF))
   done;
-  Hmac.mac ~key:t.key buf
+  Hmac.mac_prepared t.key buf
 
 let int_of_digest d off =
   let v = ref 0 in

@@ -5,7 +5,8 @@
     nonces, and hashing into Bloom filters. *)
 
 type t
-(** A keyed PRF instance. *)
+(** A keyed PRF instance.  Its key is a {!Hmac.prepared} key, with the
+    same rule: fine under fibers, not shared across domains. *)
 
 val create : key:bytes -> label:string -> t
 (** Instance keyed by [derive key label]; distinct labels are

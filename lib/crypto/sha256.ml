@@ -32,32 +32,60 @@ let init () =
     total = 0;
     w = Array.make 64 0 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let copy ctx =
+  { h = Array.copy ctx.h;
+    block = Bytes.copy ctx.block;
+    fill = ctx.fill;
+    total = ctx.total;
+    w = Array.make 64 0 }
 
-let compress ctx =
+let restore ctx ~from =
+  Array.blit from.h 0 ctx.h 0 8;
+  Bytes.blit from.block 0 ctx.block 0 from.fill;
+  ctx.fill <- from.fill;
+  ctx.total <- from.total
+
+external get32 : bytes -> int -> int32 = "%caml_bytes_get32"
+external set32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* SHA-256 is big-endian; the primitives are native-endian, so
+   little-endian hosts swap (the test folds to a constant). *)
+let be v = if Sys.big_endian then v else bswap32 v
+
+let get_be32 b off = Int32.to_int (be (get32 b off)) land mask
+let set_be32 b off v = set32 b off (be (Int32.of_int v))
+
+(* The word twice over: for n < 32, [(dup x) lsr n] holds the rotation
+   of x right by n in its low 32 bits (the 63-bit int keeps bits up to
+   31 + n), so three rotations of one word share a single mask. *)
+let dup x = x lor (x lsl 32)
+
+(* Absorb the 64-byte block at [src.[off]].  Sums stay unmasked until
+   a rotation or the next round needs 32 bits: five 32-bit terms never
+   overflow a 63-bit int. *)
+let compress ctx src off =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get ctx.block (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get ctx.block ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get ctx.block ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get ctx.block ((4 * i) + 3))
+    w.(i) <- get_be32 src (off + (4 * i))
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let xx = dup x and yy = dup y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
     w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
   let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) in
   let d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5) in
   let g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let ee = dup !e and aa = dup !a in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + k.(i) + w.(i) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -65,7 +93,7 @@ let compress ctx =
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
   ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
   ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
@@ -81,13 +109,20 @@ let feed ctx data =
   ctx.total <- ctx.total + n;
   let pos = ref 0 in
   while !pos < n do
-    let take = min (64 - ctx.fill) (n - !pos) in
-    Bytes.blit data !pos ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
+    if ctx.fill = 0 && n - !pos >= 64 then begin
+      (* whole blocks are compressed in place, without the copy *)
+      compress ctx data !pos;
+      pos := !pos + 64
+    end
+    else begin
+      let take = min (64 - ctx.fill) (n - !pos) in
+      Bytes.blit data !pos ctx.block ctx.fill take;
+      ctx.fill <- ctx.fill + take;
+      pos := !pos + take;
+      if ctx.fill = 64 then begin
+        compress ctx ctx.block 0;
+        ctx.fill <- 0
+      end
     end
   done
   [@@leak_ok
@@ -97,18 +132,21 @@ let feed ctx data =
 let feed_string ctx s = feed ctx (Bytes.of_string s)
 
 let finalize ctx =
-  let bit_len = Int64.of_int (8 * ctx.total) in
-  (* padding: 0x80, zeros, 8-byte big-endian bit length *)
-  feed ctx (Bytes.make 1 '\x80');
-  let zeros = (64 + 56 - ctx.fill) mod 64 in
-  if zeros > 0 then feed ctx (Bytes.make zeros '\000');
-  let len = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set len i
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bit_len (8 * (7 - i))) land 0xFF))
-  done;
-  feed ctx len;
-  assert (ctx.fill = 0);
+  (* padding, built in the block buffer: 0x80, zeros, then the 8-byte
+     big-endian bit length, spilling into a second block when the
+     length field does not fit *)
+  let bit_len = 8 * ctx.total in
+  let fill = ctx.fill in
+  Bytes.set ctx.block fill '\x80';
+  if fill >= 56 then begin
+    Bytes.fill ctx.block (fill + 1) (63 - fill) '\000';
+    compress ctx ctx.block 0;
+    Bytes.fill ctx.block 0 56 '\000'
+  end
+  else Bytes.fill ctx.block (fill + 1) (55 - fill) '\000';
+  set_be32 ctx.block 56 (bit_len lsr 32);
+  set_be32 ctx.block 60 bit_len;
+  compress ctx ctx.block 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xFF));

@@ -18,7 +18,16 @@ val feed_string : ctx -> string -> unit
 (** {!feed} for strings. *)
 
 val finalize : ctx -> bytes
-(** 32-byte digest.  The context must not be reused afterwards. *)
+(** 32-byte digest.  The context must not be reused afterwards, except
+    as the target of {!restore}. *)
+
+val copy : ctx -> ctx
+(** An independent context in the same state: a snapshot to resume from. *)
+
+val restore : ctx -> from:ctx -> unit
+(** [restore ctx ~from] puts [ctx] back into [from]'s state without
+    allocating, so one scratch context can resume a saved state again
+    and again (HMAC's keyed inner and outer states). *)
 
 val digest : bytes -> bytes
 (** One-shot hash. *)

@@ -13,14 +13,20 @@ type physical_event =
   | Slot of { epoch : int; slot : int }
   | Reshuffle of { epoch : int }
 
+(* encrypt-then-MAC: the ciphertext and a 32-byte tag over
+   nonce ‖ ciphertext, as the host stores them *)
+type sealed_slot = { cipher : bytes; tag : bytes }
+
 type t = {
   master_key : bytes;
-  page_size : int;
+  zero_page : bytes; (* the plaintext of every dummy slot, shared, never mutated *)
   n : int; (* logical pages *)
   dummies : int;
   plain : bytes array; (* the database content, SCP-side ground truth *)
-  mutable slots : bytes array; (* encrypted physical slots, host-side *)
+  mutable slots : sealed_slot array; (* encrypted physical slots, host-side *)
   mutable perm : Psp_crypto.Feistel.t; (* logical index -> physical slot *)
+  mutable enc_key : bytes; (* this epoch's slot keys, derived once per shuffle *)
+  mutable mac_key : Psp_crypto.Hmac.prepared;
   mutable epoch : int;
   shelter : (int, bytes) Hashtbl.t; (* sheltered logical pages *)
   mutable dummy_cursor : int; (* dummies consumed this epoch *)
@@ -40,26 +46,21 @@ let slot_nonce slot =
   done;
   nonce
 
-(* encrypt-then-MAC: ciphertext followed by a 32-byte tag over it *)
-let encrypt_slot ~key ~slot plaintext =
-  let cipher = Psp_crypto.Chacha20.encrypt ~key ~nonce:(slot_nonce slot) plaintext in
-  let mac_key = Psp_crypto.Hmac.derive ~key ~label:"slot-mac" in
-  Bytes.cat cipher (Psp_crypto.Hmac.mac ~key:mac_key (Bytes.cat (slot_nonce slot) cipher))
+let encrypt_slot t ~slot plaintext =
+  let nonce = slot_nonce slot in
+  let cipher = Psp_crypto.Chacha20.encrypt ~key:t.enc_key ~nonce plaintext in
+  { cipher; tag = Psp_crypto.Hmac.mac_prepared t.mac_key ~prefix:nonce cipher }
   [@@oblivious]
 
-let decrypt_slot ~key ~slot stored =
-  let n = Bytes.length stored - 32 in
-  if n < 0 then raise (Tampering_detected { slot });
-  let cipher = Bytes.sub stored 0 n in
-  let tag = Bytes.sub stored n 32 in
-  let mac_key = Psp_crypto.Hmac.derive ~key ~label:"slot-mac" in
-  if not (Psp_crypto.Hmac.verify ~key:mac_key (Bytes.cat (slot_nonce slot) cipher) ~tag)
+let decrypt_slot t ~slot stored =
+  let nonce = slot_nonce slot in
+  if not (Psp_crypto.Hmac.verify_prepared t.mac_key ~prefix:nonce stored.cipher ~tag:stored.tag)
   then raise (Tampering_detected { slot });
-  Psp_crypto.Chacha20.decrypt ~key ~nonce:(slot_nonce slot) cipher
+  Psp_crypto.Chacha20.decrypt ~key:t.enc_key ~nonce stored.cipher
   [@@leak_ok
-    "branches only on the stored ciphertext's length and MAC validity — \
-     host-supplied data, not the secret page index; the abort names the \
-     physical slot, which the host already observes"]
+    "branches only on the stored slot's MAC validity — host-supplied data, \
+     not the secret page index; the abort names the physical slot, which \
+     the host already observes"]
   [@@oblivious]
 
 (* Re-scatter every page (and fresh dummies) under this epoch's keys. *)
@@ -67,14 +68,15 @@ let shuffle t =
   Obs.incr m_shuffles;
   let key = epoch_key t in
   let perm_key = Psp_crypto.Hmac.derive ~key ~label:"perm" in
-  let enc_key = Psp_crypto.Hmac.derive ~key ~label:"enc" in
+  t.enc_key <- Psp_crypto.Hmac.derive ~key ~label:"enc";
+  t.mac_key <- Psp_crypto.Hmac.prepare (Psp_crypto.Hmac.derive ~key:t.enc_key ~label:"slot-mac");
   let total = t.n + t.dummies in
   t.perm <- Psp_crypto.Feistel.create ~key:perm_key ~domain:total;
-  let slots = Array.make total Bytes.empty in
+  let slots = Array.make total { cipher = Bytes.empty; tag = Bytes.empty } in
   for i = 0 to total - 1 do
     let slot = Psp_crypto.Feistel.forward t.perm i in
-    let plaintext = if i < t.n then t.plain.(i) else Bytes.make t.page_size '\000' in
-    slots.(slot) <- encrypt_slot ~key:enc_key ~slot plaintext
+    let plaintext = if i < t.n then t.plain.(i) else t.zero_page in
+    slots.(slot) <- encrypt_slot t ~slot plaintext
   done;
   t.slots <- slots;
   Hashtbl.reset t.shelter;
@@ -86,12 +88,14 @@ let create ~key file =
   if n = 0 then invalid_arg "Oblivious_store.create: empty file";
   let t =
     { master_key = Psp_crypto.Hmac.derive ~key ~label:("store:" ^ Psp_storage.Page_file.name file);
-      page_size = Psp_storage.Page_file.page_size file;
+      zero_page = Bytes.make (Psp_storage.Page_file.page_size file) '\000';
       n;
       dummies = max 1 (isqrt_up n);
       plain = Array.init n (Psp_storage.Page_file.read file);
       slots = [||];
       perm = Psp_crypto.Feistel.create ~key ~domain:1;
+      enc_key = Bytes.empty;
+      mac_key = Psp_crypto.Hmac.prepare Bytes.empty;
       epoch = 0;
       shelter = Hashtbl.create 16;
       dummy_cursor = 0;
@@ -177,9 +181,8 @@ let fetch_many t ids =
        sheltered or repeated page consumes the next unused dummy, a fresh page maps \
        through the epoch permutation — the host cannot tell the cases apart"];
     (* one sequential sweep over the planned slots, in member order,
-       under one derived key; every probe (dummy included) is fetched
+       under the epoch's keys; every probe (dummy included) is fetched
        and authenticated, as in the sequential path *)
-    let enc_key = Psp_crypto.Hmac.derive ~key:(epoch_key t) ~label:"enc" in
     t.sweeps <- t.sweeps + 1;
     (for m = 0 to chunk - 1 do
        let slot =
@@ -187,7 +190,7 @@ let fetch_many t ids =
        in
        t.slot_touches <- t.slot_touches + 1;
        Psp_util.Dyn_array.push t.trace (Slot { epoch = t.epoch; slot });
-       let page = decrypt_slot ~key:enc_key ~slot t.slots.(slot) in
+       let page = decrypt_slot t ~slot t.slots.(slot) in
        match plan.(m) with Real _ -> results.(base + m) <- page | _ -> ()
      done)
     [@leak_ok
@@ -239,6 +242,7 @@ let sweeps t = t.sweeps
 let corrupt_slot t ~slot =
   if slot < 0 || slot >= Array.length t.slots then
     invalid_arg "Oblivious_store.corrupt_slot: slot out of range";
-  let b = Bytes.copy t.slots.(slot) in
+  let stored = t.slots.(slot) in
+  let b = Bytes.copy stored.cipher in
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
-  t.slots.(slot) <- b
+  t.slots.(slot) <- { stored with cipher = b }

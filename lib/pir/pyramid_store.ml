@@ -34,12 +34,13 @@ type level = {
   mutable slots : bytes array;
   mutable perm : Psp_crypto.Feistel.t;
   mutable bloom : Psp_crypto.Bloom.t;
+  mutable enc_key : bytes; (* this epoch's slot key, derived once at rebuild *)
   mutable dummy_cursor : int;
 }
 
 type t = {
   master_key : bytes;
-  page_size : int;
+  zero_page : bytes; (* the plaintext of every dummy slot, shared, never mutated *)
   n : int;
   cache_capacity : int;
   mutable cache : (int * bytes) list; (* newest first; may hold duplicates *)
@@ -72,6 +73,7 @@ let rebuild t level contents =
   let key = level_key t level in
   let perm_key = Psp_crypto.Hmac.derive ~key ~label:"perm" in
   let enc_key = Psp_crypto.Hmac.derive ~key ~label:"enc" in
+  level.enc_key <- enc_key;
   let domain = level.cap + level.dummies in
   level.perm <- Psp_crypto.Feistel.create ~key:perm_key ~domain;
   level.bloom <-
@@ -102,8 +104,7 @@ let rebuild t level contents =
   for slot = 0 to domain - 1 do
     if Bytes.length level.slots.(slot) = 0 then
       level.slots.(slot) <-
-        Psp_crypto.Chacha20.encrypt ~key:enc_key ~nonce:(slot_nonce slot)
-          (Bytes.make t.page_size '\000')
+        Psp_crypto.Chacha20.encrypt ~key:enc_key ~nonce:(slot_nonce slot) t.zero_page
   done;
   Psp_util.Dyn_array.push t.trace (Rebuild { level = level.depth; items = domain })
   [@@oblivious]
@@ -137,13 +138,14 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
       slots = [||];
       perm = Psp_crypto.Feistel.create ~key ~domain:1;
       bloom = Psp_crypto.Bloom.create ~key ~label:"init" ~bits:8 ~hashes:1;
+      enc_key = Bytes.empty;
       dummy_cursor = 0 }
   in
   let t =
     { master_key =
         Psp_crypto.Hmac.derive ~key
           ~label:("pyramid:" ^ Psp_storage.Page_file.name file);
-      page_size = Psp_storage.Page_file.page_size file;
+      zero_page = Bytes.make (Psp_storage.Page_file.page_size file) '\000';
       n;
       cache_capacity = c;
       cache = [];
@@ -322,9 +324,6 @@ let fetch_many t ids =
        (fun l level ->
          t.scans <- t.scans + 1;
          Obs.incr m_level_scans;
-         let enc_key =
-           lazy (Psp_crypto.Hmac.derive ~key:(level_key t level) ~label:"enc")
-         in
          for m = 0 to chunk - 1 do
            let slot = plans.(m).(l) in
            t.slot_touches <- t.slot_touches + 1;
@@ -332,8 +331,8 @@ let fetch_many t ids =
              (Slot { level = level.depth; epoch = level.epoch; slot });
            (if real.(m) = l then
               results.(base + m) <-
-                Psp_crypto.Chacha20.decrypt ~key:(Lazy.force enc_key)
-                  ~nonce:(slot_nonce slot) level.slots.(slot))
+                Psp_crypto.Chacha20.decrypt ~key:level.enc_key ~nonce:(slot_nonce slot)
+                  level.slots.(slot))
            [@leak_ok
              "the slot touch the host observes happens either way; only the \
               client-side decryption of the already-planned slot is skipped for \

@@ -19,6 +19,10 @@ type t = {
       (* the derived auth key the tags were computed under, so resealing
          with the same master key is a no-op while a different key (e.g.
          a scratch calibration server) recomputes *)
+  mutable auth : (bytes * Psp_crypto.Hmac.prepared) option;
+      (* the master key last used to seal or authenticate, with its
+         prepared page-auth MAC: a fetch neither re-derives nor re-pads
+         the key *)
 }
 
 type error = Corrupt of { path : string; reason : string }
@@ -35,7 +39,8 @@ let create ~name ~page_size =
     lengths = Psp_util.Dyn_array.create ();
     crcs = Psp_util.Dyn_array.create ();
     tags = None;
-    seal_key = None }
+    seal_key = None;
+    auth = None }
 
 let name t = t.name
 let page_size t = t.page_size
@@ -111,12 +116,22 @@ let tag_size = 32
 let auth_key ~key name =
   Psp_crypto.Hmac.derive ~key ~label:("page-auth:" ^ name)
 
-let tag_message (no [@secret]) page =
+let auth_mac t ~key =
+  match t.auth with
+  | Some (k, mac) when Bytes.equal k key -> mac
+  | _ ->
+      let mac = Psp_crypto.Hmac.prepare (auth_key ~key t.name) in
+      t.auth <- Some (Bytes.copy key, mac);
+      mac
+
+(* The tag covers the 4-byte little-endian page number followed by the
+   page; the number is fed to the MAC as a prefix, so the page is never
+   copied. *)
+let tag_prefix (no [@secret]) =
   (* fixed-width page number: the message length must not vary with the
      (secret) index *)
-  let w = Psp_util.Byte_io.Writer.create ~capacity:(4 + Bytes.length page) () in
+  let w = Psp_util.Byte_io.Writer.create ~capacity:4 () in
   Psp_util.Byte_io.Writer.u32 w no;
-  Psp_util.Byte_io.Writer.bytes w page;
   Psp_util.Byte_io.Writer.contents w
   [@@oblivious]
 
@@ -124,11 +139,12 @@ let seal t ~key =
   let k = auth_key ~key t.name in
   let already = match t.seal_key with Some k0 -> Bytes.equal k0 k | None -> false in
   if not already then begin
+    let mac = auth_mac t ~key in
     let tags = Psp_util.Dyn_array.create () in
     for no = 0 to page_count t - 1 do
       Psp_util.Dyn_array.push tags
-        (Psp_crypto.Hmac.mac ~key:k
-           (tag_message no (Psp_util.Dyn_array.get t.pages no)))
+        (Psp_crypto.Hmac.mac_prepared mac ~prefix:(tag_prefix no)
+           (Psp_util.Dyn_array.get t.pages no))
     done;
     t.tags <- Some tags;
     t.seal_key <- Some k
@@ -150,9 +166,8 @@ let authenticate t ~key (no [@secret]) page =
      with {!verify_page} *)
   Bytes.length page = t.page_size
   && sealed t
-  && Psp_crypto.Hmac.verify
-       ~key:(auth_key ~key t.name)
-       (tag_message no page) ~tag:(page_tag t no)
+  && Psp_crypto.Hmac.verify_prepared (auth_mac t ~key) ~prefix:(tag_prefix no) page
+       ~tag:(page_tag t no)
   [@@oblivious]
 
 let utilization t =

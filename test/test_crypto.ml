@@ -6,6 +6,7 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let hex_of = Sha256.hex
+let bytes_gen n = QCheck2.Gen.(map Bytes.of_string (string_size (return n)))
 
 (* ------------------------------------------------------------------ *)
 (* SHA-256: FIPS 180-4 known-answer tests *)
@@ -89,6 +90,34 @@ let test_hmac_derive_labels () =
   Alcotest.(check bool) "independent" true (a <> b);
   Alcotest.(check bool) "deterministic" true (a = Hmac.derive ~key ~label:"a")
 
+let hmac_prepared_matches_mac =
+  qtest ~count:200 "mac_prepared (prepare k) = mac ~key:k, prefix streamed"
+    QCheck2.Gen.(
+      let* klen = oneofl [ 0; 32; 64; 65; 131 ] in
+      let* key = bytes_gen klen in
+      let* plen = int_range 0 80 in
+      let* prefix = bytes_gen plen in
+      let* dlen = int_range 0 300 in
+      let* data = bytes_gen dlen in
+      return (key, prefix, data))
+    (fun (key, prefix, data) ->
+      let p = Hmac.prepare key in
+      let tag = Hmac.mac ~key data in
+      (* twice: the prepared key's scratch state must be reusable *)
+      Hmac.mac_prepared p data = tag
+      && Hmac.mac_prepared p data = tag
+      && Hmac.mac_prepared p ~prefix data = Hmac.mac ~key (Bytes.cat prefix data)
+      && Hmac.verify_prepared p data ~tag
+      && not (Hmac.verify_prepared p ~prefix:(Bytes.make 1 'x') data ~tag))
+
+let test_hmac_prepared_rfc4231 () =
+  let p = Hmac.prepare (Bytes.make 131 '\xaa') in
+  Alcotest.(check string) "case 6 (key > block)"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (hex_of
+       (Hmac.mac_prepared p ~prefix:(Bytes.of_string "Test Using Larger ")
+          (Bytes.of_string "Than Block-Size Key - Hash Key First")))
+
 (* ------------------------------------------------------------------ *)
 (* ChaCha20: RFC 8439 §2.4.2 test vector *)
 
@@ -133,6 +162,105 @@ let test_chacha20_bad_sizes () =
     (fun () -> ignore (Chacha20.block ~key:(Bytes.make 16 'k') ~nonce:(Bytes.make 12 'n') ~counter:0));
   Alcotest.check_raises "short nonce" (Invalid_argument "Chacha20: nonce must be 12 bytes")
     (fun () -> ignore (Chacha20.block ~key:(Bytes.make 32 'k') ~nonce:(Bytes.make 8 'n') ~counter:0))
+
+(* The byte-level ChaCha20 the word-level code replaced, kept verbatim
+   as an oracle: one keystream block per 64 bytes, read and written a
+   byte at a time. *)
+module Byte_chacha20 = struct
+  let mask = 0xFFFFFFFF
+
+  let read_le32 b off =
+    Char.code (Bytes.get b off)
+    lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+    lor (Char.code (Bytes.get b (off + 2)) lsl 16)
+    lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+
+  let write_le32 b off v =
+    Bytes.set b off (Char.chr (v land 0xFF));
+    Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF));
+    Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
+    Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
+
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+  let quarter_round st a b c d =
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 16;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 12;
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 8;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 7
+
+  let block ~key ~nonce ~counter =
+    let st = Array.make 16 0 in
+    st.(0) <- 0x61707865;
+    st.(1) <- 0x3320646e;
+    st.(2) <- 0x79622d32;
+    st.(3) <- 0x6b206574;
+    for i = 0 to 7 do
+      st.(4 + i) <- read_le32 key (4 * i)
+    done;
+    st.(12) <- counter land mask;
+    for i = 0 to 2 do
+      st.(13 + i) <- read_le32 nonce (4 * i)
+    done;
+    let working = Array.copy st in
+    for _ = 1 to 10 do
+      quarter_round working 0 4 8 12;
+      quarter_round working 1 5 9 13;
+      quarter_round working 2 6 10 14;
+      quarter_round working 3 7 11 15;
+      quarter_round working 0 5 10 15;
+      quarter_round working 1 6 11 12;
+      quarter_round working 2 7 8 13;
+      quarter_round working 3 4 9 14
+    done;
+    let out = Bytes.create 64 in
+    for i = 0 to 15 do
+      write_le32 out (4 * i) ((working.(i) + st.(i)) land mask)
+    done;
+    out
+
+  let encrypt ~key ~nonce ~counter data =
+    let n = Bytes.length data in
+    let out = Bytes.create n in
+    for b = 0 to ((n + 63) / 64) - 1 do
+      let ks = block ~key ~nonce ~counter:(counter + b) in
+      let off = 64 * b in
+      for i = 0 to min 64 (n - off) - 1 do
+        Bytes.set out (off + i)
+          (Char.chr (Char.code (Bytes.get data (off + i)) lxor Char.code (Bytes.get ks i)))
+      done
+    done;
+    out
+end
+
+let chacha20_matches_byte_oracle =
+  qtest ~count:300 "chacha20 = byte-level oracle (partial blocks, counter wrap)"
+    QCheck2.Gen.(
+      let* len = int_range 0 300 in
+      let* counter = oneof [ int_range 0 0xFFFFFFFF; int_range 0xFFFFFFF0 0xFFFFFFFF ] in
+      let* key = bytes_gen 32 in
+      let* nonce = bytes_gen 12 in
+      let* data = bytes_gen len in
+      return (key, nonce, counter, data))
+    (fun (key, nonce, counter, data) ->
+      Chacha20.encrypt ~key ~nonce ~counter data
+      = Byte_chacha20.encrypt ~key ~nonce ~counter data
+      && Chacha20.block ~key ~nonce ~counter = Byte_chacha20.block ~key ~nonce ~counter)
+
+let test_chacha20_pinned () =
+  (* the top of the counter range: the third block wraps to counter 0 *)
+  let out =
+    Chacha20.encrypt ~key:(Sha256.digest_string "chacha pin") ~nonce:(Bytes.make 12 '\001')
+      ~counter:0xFFFFFFFE
+      (Bytes.init 200 (fun i -> Char.chr (i land 255)))
+  in
+  Alcotest.(check string) "digest"
+    "c8ca8a3a57230b83c7f53ecaa2c795b8391e5c674f0c5356542a84ac9ea037d0"
+    (hex_of (Sha256.digest out))
 
 (* ------------------------------------------------------------------ *)
 (* PRF *)
@@ -244,6 +372,50 @@ let test_bloom_clear () =
   Alcotest.(check int) "count reset" 0 (Bloom.count b);
   Alcotest.(check bool) "cleared" false (Bloom.mem b 1)
 
+(* ------------------------------------------------------------------ *)
+(* Known answers pinned from the byte-level implementation.  Slot
+   numbers, Bloom probes and therefore every ORAM trace are functions of
+   these values: a faster primitive must reproduce them bit for bit. *)
+
+let test_feistel_pinned () =
+  List.iter
+    (fun (n, digest) ->
+      let p = Feistel.create ~key:(Sha256.digest_string "feistel pin") ~domain:n in
+      let rendered =
+        String.concat "," (Array.to_list (Array.map string_of_int (Feistel.to_array p)))
+      in
+      Alcotest.(check string) (Printf.sprintf "domain %d" n) digest
+        (hex_of (Sha256.digest_string rendered)))
+    [ (1, "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9");
+      (7, "f1920e54c8776460adad082d17494f1c494bc40f4035e65c8e8ddba583106a67");
+      (300, "bb09a5bf0529ab390832f6ca2409a52df44466f53ea1820d79727149f113a91f");
+      (4096, "b858af7b95018a0ad21fcd81251a3a3795cd6fa60ac54e58d5343fd1093d8aad") ]
+
+let test_prf_pinned () =
+  let f = Prf.create ~key:(Sha256.digest_string "prf pin") ~label:"pin" in
+  Alcotest.(check (list int)) "int"
+    [ 2626211589100177223; 484284121609501215; 3075035974414288128;
+      543155164818416353; 1107441527636842520 ]
+    (List.map (Prf.int f) [ 0; 1; 42; 65535; 1 lsl 40 ]);
+  Alcotest.(check (list int)) "indices" [ 748; 226; 549; 730; 733; 349; 150 ]
+    (Prf.indices f 123 ~count:7 ~modulus:1009);
+  Alcotest.(check string) "bytes"
+    "9d7829dfa0c336c9453873fb5d768d0d2f404437303b3fc4f48fe91575f1b01492ae240484f7f206\
+     8e631ae2bea7592f52aec1c5d442657a84fd53079c5665b2c6adf43c4ee5"
+    (hex_of (Prf.bytes f 7 70))
+
+let test_bloom_pinned () =
+  (* an overloaded filter, so the pinned false positives are many *)
+  let b = Bloom.create ~key:(Sha256.digest_string "bloom pin") ~label:"pin" ~bits:128 ~hashes:3 in
+  List.iter (Bloom.add b) (List.init 34 (fun i -> 3 * i));
+  let members = List.filter (Bloom.mem b) (List.init 300 Fun.id) in
+  Alcotest.(check int) "members" 79 (List.length members);
+  Alcotest.(check (list int)) "false positives"
+    [ 1; 7; 11; 20; 28; 31; 32; 47; 49; 67; 94; 101; 110; 127; 137; 144; 155; 156; 163;
+      168; 170; 172; 179; 182; 187; 193; 203; 204; 205; 207; 208; 209; 210; 217; 221;
+      222; 226; 239; 241; 257; 263; 277; 280; 284; 299 ]
+    (List.filter (fun x -> x mod 3 <> 0 || x >= 100) members)
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -258,12 +430,16 @@ let () =
           Alcotest.test_case "rfc4231 case3" `Quick test_hmac_rfc4231_case3;
           Alcotest.test_case "rfc4231 long key" `Quick test_hmac_rfc4231_long_key;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
-          Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels ] );
+          Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels;
+          Alcotest.test_case "prepared rfc4231" `Quick test_hmac_prepared_rfc4231;
+          hmac_prepared_matches_mac ] );
       ( "chacha20",
         [ Alcotest.test_case "rfc8439 vector" `Quick test_chacha20_rfc8439;
           chacha20_roundtrip;
           Alcotest.test_case "nonce separation" `Quick test_chacha20_nonce_separation;
-          Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes ] );
+          Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes;
+          chacha20_matches_byte_oracle;
+          Alcotest.test_case "pinned" `Quick test_chacha20_pinned ] );
       ( "prf",
         [ Alcotest.test_case "deterministic" `Quick test_prf_deterministic;
           Alcotest.test_case "label separation" `Quick test_prf_label_separation;
@@ -278,4 +454,8 @@ let () =
       ( "bloom",
         [ Alcotest.test_case "no false negatives" `Quick test_bloom_no_false_negatives;
           Alcotest.test_case "fp rate" `Slow test_bloom_fp_rate;
-          Alcotest.test_case "clear" `Quick test_bloom_clear ] ) ]
+          Alcotest.test_case "clear" `Quick test_bloom_clear ] );
+      ( "known answers",
+        [ Alcotest.test_case "feistel" `Quick test_feistel_pinned;
+          Alcotest.test_case "prf" `Quick test_prf_pinned;
+          Alcotest.test_case "bloom" `Quick test_bloom_pinned ] ) ]

@@ -289,6 +289,60 @@ let test_pyramid_server_mode () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Known answers pinned from the byte-level crypto: slot numbers come
+   from keyed Feistel permutations and Bloom probes, so a change to any
+   primitive's output would move these digests. *)
+
+let trace_digest render events =
+  let buf = Buffer.create 4096 in
+  List.iter (render buf) events;
+  Psp_crypto.Sha256.hex (Psp_crypto.Sha256.digest_string (Buffer.contents buf))
+
+let test_pyramid_trace_pinned () =
+  let s = PS.create ~key (make_file ~pages:60 ~page_size:32 ()) in
+  let rng = Psp_util.Rng.create 11 in
+  for _ = 1 to 200 do
+    ignore (PS.read s (Psp_util.Rng.int rng 60))
+  done;
+  let events = PS.physical_trace s in
+  Alcotest.(check int) "events" 462 (List.length events);
+  Alcotest.(check string) "digest"
+    "4820898283235771457cb65e3d258b9b6ac6a03236c08e112d84aaf7d0b85184"
+    (trace_digest
+       (fun buf -> function
+         | PS.Slot { level; epoch; slot } -> Printf.bprintf buf "S%d.%d.%d;" level epoch slot
+         | PS.Rebuild { level; items } -> Printf.bprintf buf "R%d.%d;" level items)
+       events)
+
+let test_sqrt_trace_pinned () =
+  let s = OS.create ~key (make_file ~pages:40 ~page_size:32 ()) in
+  let rng = Psp_util.Rng.create 11 in
+  for _ = 1 to 100 do
+    ignore (OS.read s (Psp_util.Rng.int rng 40))
+  done;
+  let events = OS.physical_trace s in
+  Alcotest.(check int) "events" 114 (List.length events);
+  Alcotest.(check string) "digest"
+    "0d7752256b5e99c693c14e76abb280afb8f37ba159ca77d9df103f76cab4aea6"
+    (trace_digest
+       (fun buf -> function
+         | OS.Slot { epoch; slot } -> Printf.bprintf buf "S%d.%d;" epoch slot
+         | OS.Reshuffle { epoch } -> Printf.bprintf buf "R%d;" epoch)
+       events)
+
+let test_page_tags_pinned () =
+  let f = make_file ~pages:3 ~page_size:64 () in
+  PF.seal f ~key;
+  List.iteri
+    (fun no tag ->
+      Alcotest.(check string) (Printf.sprintf "page %d" no) tag
+        (Psp_crypto.Sha256.hex (PF.page_tag f no));
+      Alcotest.(check bool) "authenticates" true (PF.authenticate f ~key no (PF.read f no)))
+    [ "12648c4e55cb9bc5d1804d9d517bb9c45fc0b3f4a5a0a664f6613deaf5215c3c";
+      "667822b0f7fa04e36ec531c53f46963ed21c24e381ec973254051f7e71598810";
+      "1ddeb154c627b82297ae4a7b31cb0603de505a233dce53ea1a87cfcbeb3f6891" ]
+
+(* ------------------------------------------------------------------ *)
 (* Server sessions *)
 
 let test_server_fetch_accounting () =
@@ -414,6 +468,10 @@ let () =
           Alcotest.test_case "no slot repeats" `Quick test_pyramid_no_slot_repeats;
           Alcotest.test_case "one touch per level" `Quick test_pyramid_one_touch_per_level;
           Alcotest.test_case "server mode" `Quick test_pyramid_server_mode ] );
+      ( "known answers",
+        [ Alcotest.test_case "pyramid trace" `Quick test_pyramid_trace_pinned;
+          Alcotest.test_case "sqrt trace" `Quick test_sqrt_trace_pinned;
+          Alcotest.test_case "page tags" `Quick test_page_tags_pinned ] );
       ( "server",
         [ Alcotest.test_case "fetch accounting" `Quick test_server_fetch_accounting;
           Alcotest.test_case "trace hides pages" `Quick test_server_trace_hides_pages;
