@@ -1,8 +1,10 @@
 (* Bechamel micro-benchmarks of the computational kernels underneath the
    schemes: exact search, ORAM reads, crypto primitives, record
-   decoding, and one end-to-end private query per scheme.  These measure
-   real wall-clock on this machine (the experiment tables report
-   *simulated* 2012-hardware times instead). *)
+   decoding, the publisher's set-up layers (border-pair pre-computation
+   and PI index building, on Oldenburg at 1/32), and one end-to-end
+   private query per scheme.  These measure real wall-clock on this
+   machine (the experiment tables report *simulated* 2012-hardware
+   times instead). *)
 
 open Bechamel
 open Toolkit
@@ -45,6 +47,39 @@ let tests env =
     incr probe;
     !probe
   in
+  (* the publisher's set-up layers, on a fixed network so the kernels
+     compare across --scale settings: Oldenburg at 1/32 (190 nodes) on
+     512-byte pages is 9 regions and 45 border pairs (at 4 KB pages it
+     would be only 2 regions) *)
+  let small = Psp_netgen.Presets.graph ~scale:32.0 Psp_netgen.Presets.Oldenburg in
+  let small_page = 512 in
+  let partition =
+    Psp_partition.Kdtree.build_packed small
+      ~node_bytes:(Psp_index.Encoding.node_bytes Psp_index.Encoding.plain_config small)
+      ~capacity:(small_page - 4)
+  in
+  let assignment = partition.Psp_partition.Kdtree.assignment in
+  let region_count = partition.Psp_partition.Kdtree.region_count in
+  let border = Psp_partition.Border.compute small ~assignment ~region_count in
+  let precompute () =
+    Psp_index.Precompute.compute ~domains:1 small ~assignment ~border ~want_sets:true
+      ~want_subgraphs:true
+  in
+  let pre = precompute () in
+  let pi_index () =
+    let builder =
+      Psp_index.Fi_builder.create ~graph:small ~page_size:small_page ~compress:true
+        ~quantize:0.0 ~m_bound:None
+    in
+    for i = 0 to region_count - 1 do
+      for j = i to region_count - 1 do
+        ignore
+          (Psp_index.Fi_builder.add builder ~kind:Psp_index.Fi_builder.Subgraph
+             (Psp_index.Precompute.subgraph pre i j))
+      done
+    done;
+    Psp_index.Fi_builder.page_count builder
+  in
   let region_blob =
     Psp_index.Encoding.encode_region Psp_index.Encoding.plain_config g
       (Psp_partition.Kdtree.nodes_of_region db.DB.partition 0)
@@ -71,6 +106,8 @@ let tests env =
         ignore (Psp_pir.Oblivious_store.read store 17)));
     Test.make ~name:"region decode" (Staged.stage (fun () ->
         ignore (Psp_index.Encoding.decode_region Psp_index.Encoding.plain_config region_blob)));
+    Test.make ~name:"precompute border pairs" (Staged.stage (fun () -> ignore (precompute ())));
+    Test.make ~name:"fi_builder PI index" (Staged.stage (fun () -> ignore (pi_index ())));
     Test.make ~name:"CI private query e2e" (Staged.stage (fun () ->
         let s, t = pick () in
         ignore (Psp_core.Client.query_nodes server g s t))) ]

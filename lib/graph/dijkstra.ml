@@ -5,16 +5,13 @@ type spt = {
   settled : int;
 }
 
-(* Core loop shared by every entry point.  [stop] may terminate the
-   search after a node is settled; [allowed] prunes relaxations. *)
-let run g ~source ~stop ~allowed =
+(* Core loop shared by every entry point, over caller-supplied state
+   ([dist] all infinity, [parent]/[parent_edge] all -1, [done_] all
+   false, [heap] empty).  [stop] may terminate the search after a node
+   is settled; [allowed] prunes relaxations. *)
+let run_into ~dist ~parent ~parent_edge ~done_ ~heap g ~source ~stop ~allowed =
   let n = Graph.node_count g in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
-  let done_ = Array.make n false in
-  let heap = Psp_util.Min_heap.create () in
   dist.(source) <- 0.0;
   Psp_util.Min_heap.push heap ~priority:0.0 source;
   let settled = ref 0 in
@@ -43,8 +40,44 @@ let run g ~source ~stop ~allowed =
   done;
   ({ dist; parent; parent_edge; settled = !settled }, done_)
 
+let run g ~source ~stop ~allowed =
+  let n = Graph.node_count g in
+  run_into ~dist:(Array.make n infinity) ~parent:(Array.make n (-1))
+    ~parent_edge:(Array.make n (-1)) ~done_:(Array.make n false)
+    ~heap:(Psp_util.Min_heap.create ()) g ~source ~stop ~allowed
+
 let tree g ~source =
   fst (run g ~source ~stop:(fun _ -> false) ~allowed:(fun _ -> true))
+
+type workspace = {
+  w_graph : Graph.t;
+  w_dist : float array;
+  w_parent : int array;
+  w_parent_edge : int array;
+  w_done : bool array;
+  w_heap : Psp_util.Min_heap.t;
+}
+
+let workspace g =
+  let n = Graph.node_count g in
+  { w_graph = g;
+    w_dist = Array.make n infinity;
+    w_parent = Array.make n (-1);
+    w_parent_edge = Array.make n (-1);
+    w_done = Array.make n false;
+    w_heap = Psp_util.Min_heap.create () }
+
+let tree_in ws ~source =
+  let n = Array.length ws.w_dist in
+  Array.fill ws.w_dist 0 n infinity;
+  Array.fill ws.w_parent 0 n (-1);
+  Array.fill ws.w_parent_edge 0 n (-1);
+  Array.fill ws.w_done 0 n false;
+  Psp_util.Min_heap.clear ws.w_heap;
+  fst
+    (run_into ~dist:ws.w_dist ~parent:ws.w_parent ~parent_edge:ws.w_parent_edge
+       ~done_:ws.w_done ~heap:ws.w_heap ws.w_graph ~source ~stop:(fun _ -> false)
+       ~allowed:(fun _ -> true))
 
 let tree_until g ~source ~targets =
   let pending = Hashtbl.create 16 in

@@ -14,6 +14,22 @@ type spt = {
 val tree : Graph.t -> source:int -> spt
 (** Full single-source shortest-path tree. *)
 
+type workspace
+(** The arrays and heap of one full-tree search, reusable across
+    sources.  A tree is four node-indexed arrays, too large for the
+    minor heap, so a caller growing many trees in a row (index
+    pre-computation grows one per border node) would otherwise put them
+    all on the major heap as garbage. *)
+
+val workspace : Graph.t -> workspace
+(** A workspace for trees over this graph. *)
+
+val tree_in : workspace -> source:int -> spt
+(** [tree g ~source] for the workspace's graph, built in the
+    workspace's arrays: the result is valid until the next [tree_in]
+    on the same workspace, which overwrites it.  One workspace serves
+    one domain at a time. *)
+
 val tree_until : Graph.t -> source:int -> targets:int list -> spt
 (** Stop as soon as every target is settled (exact distances for the
     settled prefix; [infinity] elsewhere means "not settled", not

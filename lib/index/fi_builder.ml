@@ -1,5 +1,6 @@
 module W = Psp_util.Byte_io.Writer
 module R = Psp_util.Byte_io.Reader
+module S = Psp_util.Sorted_ints
 
 type kind = Region_set | Subgraph
 
@@ -47,46 +48,6 @@ let create ~graph ~page_size ~compress ~quantize ~m_bound =
     span_sub = 0;
     sealed = false }
 
-let sort_dedup a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let out = Psp_util.Dyn_array.create () in
-  Array.iteri (fun i v -> if i = 0 || v <> a.(i - 1) then Psp_util.Dyn_array.push out v) a;
-  Psp_util.Dyn_array.to_array out
-
-let inter a b =
-  let out = Psp_util.Dyn_array.create () in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length a && !j < Array.length b do
-    let c = compare a.(!i) b.(!j) in
-    if c = 0 then begin
-      Psp_util.Dyn_array.push out a.(!i);
-      incr i;
-      incr j
-    end
-    else if c < 0 then incr i
-    else incr j
-  done;
-  Psp_util.Dyn_array.to_array out
-
-let diff a b =
-  let out = Psp_util.Dyn_array.create () in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length a do
-    if !j >= Array.length b || a.(!i) < b.(!j) then begin
-      Psp_util.Dyn_array.push out a.(!i);
-      incr i
-    end
-    else if a.(!i) = b.(!j) then begin
-      incr i;
-      incr j
-    end
-    else incr j
-  done;
-  Psp_util.Dyn_array.to_array out
-
-let union a b = sort_dedup (Array.append a b)
-
 let no_ref = 0xFFFFFFFF
 
 let encode_elements t ~kind w elements =
@@ -109,8 +70,8 @@ let encode_record t ~kind ?ref_ elements =
       if kind = Region_set then W.varint w 0;
       (W.contents w, elements)
   | Some (pointer, ref_fetched) ->
-      let incl = diff elements ref_fetched in
-      let fetched = union ref_fetched incl in
+      let incl = S.diff elements ref_fetched in
+      let fetched = S.union ref_fetched incl in
       let excl =
         match (kind, t.m_bound) with
         | Subgraph, _ | Region_set, None -> [||]
@@ -118,11 +79,11 @@ let encode_record t ~kind ?ref_ elements =
             let over = Array.length fetched - m in
             if over <= 0 then [||]
             else begin
-              let removable = diff ref_fetched elements in
+              let removable = S.diff ref_fetched elements in
               Array.sub removable 0 (min over (Array.length removable))
             end
       in
-      let fetched = if Array.length excl = 0 then fetched else diff fetched excl in
+      let fetched = if Array.length excl = 0 then fetched else S.diff fetched excl in
       W.u32 w pointer;
       W.varint w (Array.length incl);
       encode_elements t ~kind w incl;
@@ -195,7 +156,7 @@ let place_plain t blob fetched =
 
 let add t ~kind elements =
   if t.sealed then invalid_arg "Fi_builder.add: already flushed";
-  let elements = sort_dedup elements in
+  let elements = S.of_array elements in
   let plain, plain_fetched = encode_record t ~kind elements in
   let plain_span = max 1 (ceil_div (Bytes.length plain) t.page_size) in
   let span_budget = plain_span + max 1 (plain_span / 2) in
@@ -212,7 +173,7 @@ let add t ~kind elements =
          List.iter
            (fun r ->
              if r.r_kind = kind && r.r_depth < max_chain_depth then begin
-               let overlap = Array.length (inter r.r_fetched elements) in
+               let overlap = S.inter_cardinal r.r_fetched elements in
                if overlap > 0 then begin
                  let base = r.r_placement.page in
                  let rec_offset = position t - (base * t.page_size) in
@@ -303,7 +264,7 @@ let decode ~quantize ~pages ~base_page ~offset =
         let excl_count = R.varint r in
         let excl = Encoding.decode_region_ids r ~count:excl_count in
         let resolved = if pointer = no_ref then [||] else expect_regions (parse pointer) in
-        Regions (diff (union resolved incl) excl)
+        Regions (S.diff (S.union resolved incl) excl)
     | 1 ->
         let incl = Encoding.decode_edge_triples ~quantize r ~count:incl_count in
         let resolved = if pointer = no_ref then [||] else expect_edges (parse pointer) in

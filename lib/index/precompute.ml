@@ -1,9 +1,10 @@
 module G = Psp_graph.Graph
+module Bitset = Psp_util.Bitset
 
 type t = {
   region_count : int;
-  sets : int array array option; (* pair index -> sorted region ids *)
-  subgraphs : int array array option; (* pair index -> sorted edge ids *)
+  sets : Bitset.t array option; (* pair index -> region ids, R bits *)
+  subgraphs : Bitset.t array option; (* pair index -> edge ids, E bits *)
 }
 
 let pair_index ~region_count i j =
@@ -13,73 +14,67 @@ let pair_index ~region_count i j =
 
 let npairs region_count = region_count * (region_count + 1) / 2
 
-(* A tiny int-set accumulator with O(1) dedup via an epoch-stamped
-   mark array; reused across walks to avoid allocation. *)
-module Marked = struct
-  type t = { marks : int array; mutable epoch : int; items : int Psp_util.Dyn_array.t }
-
-  let create n = { marks = Array.make n 0; epoch = 0; items = Psp_util.Dyn_array.create () }
-
-  let reset t =
-    t.epoch <- t.epoch + 1;
-    Psp_util.Dyn_array.clear t.items
-
-  let add t v =
-    if t.marks.(v) <> t.epoch then begin
-      t.marks.(v) <- t.epoch;
-      Psp_util.Dyn_array.push t.items v
-    end
-
-  let items t = Psp_util.Dyn_array.to_array t.items
-end
-
 let default_domains () = max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-(* The per-source work: one shortest-path tree, then a parent-chain walk
-   to every other border node, accumulating region ids and edge ids into
-   the caller's pair-indexed tables.  Used by both the sequential path
-   and each worker domain (tables are then per-domain and merged). *)
-let process_source g ~assignment ~borders_of ~sources ~idx ~set_acc ~sub_acc
-    ~walk_regions ~walk_edges src =
-  let spt = Psp_graph.Dijkstra.tree g ~source:src in
+(* Per-worker state: the tree workspace, and [stamp.(v) = epoch]
+   marking v as already on the union of tree chains walked for the
+   current (source, j). *)
+type walker = {
+  tree : Psp_graph.Dijkstra.workspace;
+  stamp : int array;
+  mutable epoch : int;
+}
+
+(* Set one bit in each of the (i, pair index) accumulators, skipping
+   the pair's own endpoint regions for region sets. *)
+let rec add_region acc r = function
+  | [] -> ()
+  | (i, p) :: rest ->
+      if r <> i then Bitset.set acc.(p) r;
+      add_region acc r rest
+
+let rec add_edge acc e = function
+  | [] -> ()
+  | (_, p) :: rest ->
+      Bitset.set acc.(p) e;
+      add_edge acc e rest
+
+(* The per-source work: one shortest-path tree, then for each region j
+   the union of the tree chains from j's reachable border nodes back to
+   the source.  A walk stops at the first node already stamped for this
+   (source, j): everything above it is on the union already, so each
+   tree edge is visited at most once per (source, j).  The union's
+   regions and edges go into every pair (i, j) with i a region the
+   source borders.  Used by both the sequential path and each worker
+   domain (accumulators are then per-domain and merged). *)
+let process_source ~assignment ~borders_of ~border_nodes ~idx ~sets ~subs walker src =
+  let spt = Psp_graph.Dijkstra.tree_in walker.tree ~source:src in
+  let dist = spt.Psp_graph.Dijkstra.dist in
+  let parent = spt.Psp_graph.Dijkstra.parent in
+  let parent_edge = spt.Psp_graph.Dijkstra.parent_edge in
   let rows = borders_of.(src) in
-  Array.iter
-    (fun dst ->
-      if spt.Psp_graph.Dijkstra.dist.(dst) < infinity then begin
-        let cols = borders_of.(dst) in
-        Marked.reset walk_regions;
-        Psp_util.Dyn_array.clear walk_edges;
-        (* walk the tree chain dst -> src *)
-        let v = ref dst in
-        Marked.add walk_regions assignment.(!v);
-        while spt.Psp_graph.Dijkstra.parent_edge.(!v) >= 0 do
-          Psp_util.Dyn_array.push walk_edges spt.Psp_graph.Dijkstra.parent_edge.(!v);
-          v := spt.Psp_graph.Dijkstra.parent.(!v);
-          Marked.add walk_regions assignment.(!v)
-        done;
-        let regions = Marked.items walk_regions in
-        let edges = Psp_util.Dyn_array.to_array walk_edges in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun j ->
-                let p = idx i j in
-                (match set_acc with
-                | Some acc ->
-                    let table = acc.(p) in
-                    Array.iter
-                      (fun r -> if r <> i && r <> j then Hashtbl.replace table r ())
-                      regions
-                | None -> ());
-                match sub_acc with
-                | Some acc ->
-                    let table = acc.(p) in
-                    Array.iter (fun e -> Hashtbl.replace table e ()) edges
-                | None -> ())
-              cols)
-          rows
-      end)
-    sources
+  Array.iteri
+    (fun j cols ->
+      walker.epoch <- walker.epoch + 1;
+      let epoch = walker.epoch in
+      let pairs = List.map (fun i -> (i, idx i j)) rows in
+      let rec walk v =
+        if walker.stamp.(v) <> epoch then begin
+          walker.stamp.(v) <- epoch;
+          (match sets with
+          | Some acc ->
+              let r = assignment.(v) in
+              if r <> j then add_region acc r pairs
+          | None -> ());
+          let e = parent_edge.(v) in
+          if e >= 0 then begin
+            (match subs with Some acc -> add_edge acc e pairs | None -> ());
+            walk parent.(v)
+          end
+        end
+      in
+      Array.iter (fun dst -> if dist.(dst) < infinity then walk dst) cols)
+    border_nodes
 
 let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
   let n = G.node_count g in
@@ -89,93 +84,67 @@ let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
   let region_count = Psp_partition.Border.region_count border in
   let pairs = npairs region_count in
   let idx = pair_index ~region_count in
+  let border_nodes = Array.init region_count (Psp_partition.Border.border_nodes border) in
   (* node -> regions for which it is a border node *)
   let borders_of = Array.make n [] in
-  for r = 0 to region_count - 1 do
-    Array.iter
-      (fun v -> borders_of.(v) <- r :: borders_of.(v))
-      (Psp_partition.Border.border_nodes border r)
-  done;
+  Array.iteri
+    (fun r nodes -> Array.iter (fun v -> borders_of.(v) <- r :: borders_of.(v)) nodes)
+    border_nodes;
   let sources = Psp_partition.Border.all_border_nodes border in
-  let make_acc want =
-    if want then
-      Some (Array.init pairs (fun _ : (int, unit) Hashtbl.t -> Hashtbl.create 4))
-    else None
+  let make_acc want bits =
+    if want then Some (Array.init pairs (fun _ -> Bitset.create bits)) else None
   in
-  let set_acc = make_acc want_sets in
-  let sub_acc = make_acc want_subgraphs in
-  let run_chunk ~set_acc ~sub_acc lo hi =
-    let walk_regions = Marked.create region_count in
-    let walk_edges = Psp_util.Dyn_array.create () in
+  let run_chunk lo hi =
+    let sets = make_acc want_sets region_count in
+    let subs = make_acc want_subgraphs (G.edge_count g) in
+    let walker =
+      { tree = Psp_graph.Dijkstra.workspace g; stamp = Array.make n 0; epoch = 0 }
+    in
     for k = lo to hi - 1 do
-      process_source g ~assignment ~borders_of ~sources ~idx ~set_acc ~sub_acc
-        ~walk_regions ~walk_edges sources.(k)
-    done
+      process_source ~assignment ~borders_of ~border_nodes ~idx ~sets ~subs walker
+        sources.(k)
+    done;
+    (sets, subs)
   in
   let total = Array.length sources in
-  if domains <= 1 || total < 2 * domains then
-    run_chunk ~set_acc ~sub_acc 0 total
-  else begin
-    (* each worker fills private tables over its source chunk; the
-       results are set unions, so the merge order is irrelevant and the
-       output is identical to a sequential run *)
-    let chunk = (total + domains - 1) / domains in
-    let workers =
-      List.init domains (fun d ->
-          let lo = d * chunk and hi = min total ((d + 1) * chunk) in
-          Domain.spawn (fun () ->
-              let local_set = make_acc want_sets in
-              let local_sub = make_acc want_subgraphs in
-              if lo < hi then run_chunk ~set_acc:local_set ~sub_acc:local_sub lo hi;
-              (local_set, local_sub)))
-    in
-    let merge ~into from =
-      match (into, from) with
-      | Some dst, Some src ->
-          Array.iteri
-            (fun p table -> Hashtbl.iter (fun k () -> Hashtbl.replace dst.(p) k ()) table)
-            src
-      | _ -> ()
-    in
-    List.iter
-      (fun worker ->
-        let local_set, local_sub = Domain.join worker in
-        merge ~into:set_acc local_set;
-        merge ~into:sub_acc local_sub)
-      workers
-  end;
-  let sets =
-    match set_acc with
-    | None -> None
-    | Some acc ->
-        Some
-          (Array.map
-             (fun table ->
-               let out = Hashtbl.fold (fun r () acc -> r :: acc) table [] in
-               Array.of_list (List.sort compare out))
-             acc)
+  let sets, subs =
+    if domains <= 1 || total < 2 * domains then run_chunk 0 total
+    else begin
+      (* each worker fills private bitsets over its source chunk; the
+         results are set unions, so the merge order is irrelevant and
+         the output is identical to a sequential run *)
+      let chunk = (total + domains - 1) / domains in
+      let workers =
+        List.init domains (fun d ->
+            let lo = d * chunk and hi = min total ((d + 1) * chunk) in
+            Domain.spawn (fun () -> run_chunk lo hi))
+      in
+      let merge ~into from =
+        match (into, from) with
+        | Some dst, Some src -> Array.iteri (fun p b -> Bitset.union_into ~dst:dst.(p) b) src
+        | _ -> ()
+      in
+      let first = Domain.join (List.hd workers) in
+      List.iter
+        (fun worker ->
+          let local_sets, local_subs = Domain.join worker in
+          merge ~into:(fst first) local_sets;
+          merge ~into:(snd first) local_subs)
+        (List.tl workers);
+      first
+    end
   in
-  let subgraphs =
-    match sub_acc with
-    | None -> None
-    | Some acc ->
-        (* add the crossing edges entering each endpoint region *)
-        for i = 0 to region_count - 1 do
-          let entering = Psp_partition.Border.entering_edges border i in
-          for j = 0 to region_count - 1 do
-            let p = idx i j in
-            let table = acc.(p) in
-            Array.iter (fun e -> Hashtbl.replace table e ()) entering
-          done
-        done;
-        Some
-          (Array.map
-             (fun table ->
-               let out = Hashtbl.fold (fun e () acc -> e :: acc) table [] in
-               Array.of_list (List.sort compare out))
-             acc)
-  in
-  { region_count; sets; subgraphs }
+  (* add the crossing edges entering each endpoint region *)
+  (match subs with
+  | Some acc ->
+      for i = 0 to region_count - 1 do
+        let entering = Psp_partition.Border.entering_edges border i in
+        for j = 0 to region_count - 1 do
+          Array.iter (Bitset.set acc.(idx i j)) entering
+        done
+      done
+  | None -> ());
+  { region_count; sets; subgraphs = subs }
 
 let region_count t = t.region_count
 let pair_count t = npairs t.region_count
@@ -183,23 +152,23 @@ let pair_count t = npairs t.region_count
 let region_set t i j =
   match t.sets with
   | None -> invalid_arg "Precompute.region_set: sets were not computed"
-  | Some sets -> sets.(pair_index ~region_count:t.region_count i j)
+  | Some sets -> Bitset.to_array sets.(pair_index ~region_count:t.region_count i j)
 
 let subgraph t i j =
   match t.subgraphs with
   | None -> invalid_arg "Precompute.subgraph: subgraphs were not computed"
-  | Some subs -> subs.(pair_index ~region_count:t.region_count i j)
+  | Some subs -> Bitset.to_array subs.(pair_index ~region_count:t.region_count i j)
+
+let cardinalities ~fn t =
+  match t.sets with
+  | None -> invalid_arg ("Precompute." ^ fn ^ ": sets were not computed")
+  | Some sets -> Array.map Bitset.cardinal sets
 
 let max_set_cardinality t =
-  match t.sets with
-  | None -> invalid_arg "Precompute.max_set_cardinality: sets were not computed"
-  | Some sets -> Array.fold_left (fun acc s -> max acc (Array.length s)) 0 sets
+  Array.fold_left Int.max 0 (cardinalities ~fn:"max_set_cardinality" t)
 
 let set_cardinality_histogram t =
-  match t.sets with
-  | None -> invalid_arg "Precompute.set_cardinality_histogram: sets were not computed"
-  | Some sets ->
-      let m = Array.fold_left (fun acc s -> max acc (Array.length s)) 0 sets in
-      let histogram = Array.make (m + 1) 0 in
-      Array.iter (fun s -> histogram.(Array.length s) <- histogram.(Array.length s) + 1) sets;
-      histogram
+  let sizes = cardinalities ~fn:"set_cardinality_histogram" t in
+  let histogram = Array.make (Array.fold_left Int.max 0 sizes + 1) 0 in
+  Array.iter (fun c -> histogram.(c) <- histogram.(c) + 1) sizes;
+  histogram

@@ -7,15 +7,6 @@ type t = {
   crossing : int array; (* region -> crossing edge count *)
 }
 
-let sort_dedup a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let out = Psp_util.Dyn_array.create () in
-  Array.iteri
-    (fun i v -> if i = 0 || v <> a.(i - 1) then Psp_util.Dyn_array.push out v)
-    a;
-  Psp_util.Dyn_array.to_array out
-
 let compute g ~assignment ~region_count =
   if Array.length assignment <> G.node_count g then
     invalid_arg "Border.compute: assignment length mismatch";
@@ -33,15 +24,15 @@ let compute g ~assignment ~region_count =
         crossing.(rv) <- crossing.(rv) + 1
       end);
   { region_count;
-    border = Array.map (fun l -> sort_dedup (Array.of_list l)) border;
-    entering = Array.map (fun l -> sort_dedup (Array.of_list l)) entering;
+    border = Array.map (fun l -> Psp_util.Sorted_ints.of_array (Array.of_list l)) border;
+    entering = Array.map (fun l -> Psp_util.Sorted_ints.of_array (Array.of_list l)) entering;
     crossing }
 
 let region_count t = t.region_count
 let border_nodes t r = Array.copy t.border.(r)
 
 let all_border_nodes t =
-  sort_dedup (Array.concat (Array.to_list t.border))
+  Psp_util.Sorted_ints.of_array (Array.concat (Array.to_list t.border))
 
 let entering_edges t r = Array.copy t.entering.(r)
 let crossing_count t r = t.crossing.(r)

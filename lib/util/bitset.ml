@@ -45,10 +45,28 @@ let inter_into ~dst src =
 
 let equal a b = a.n = b.n && a.words = b.words
 
+(* Word at a time: empty words cost one test, and a word's scan stops
+   at its highest set bit. *)
+let rec iter_word f word i =
+  if word <> 0 then begin
+    if word land 1 <> 0 then f i;
+    iter_word f (word lsr 1) (i + 1)
+  end
+
 let iter f t =
-  for i = 0 to t.n - 1 do
-    if t.words.(i / 63) land (1 lsl (i mod 63)) <> 0 then f i
+  for w = 0 to Array.length t.words - 1 do
+    iter_word f t.words.(w) (w * 63)
   done
+
+let to_array t =
+  let out = Array.make (cardinal t) 0 in
+  let k = ref 0 in
+  iter
+    (fun i ->
+      out.(!k) <- i;
+      incr k)
+    t;
+  out
 
 let to_list t =
   let acc = ref [] in

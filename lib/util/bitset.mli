@@ -1,7 +1,8 @@
 (** Fixed-capacity bit sets.
 
     Used for Arc-flag bit-vectors (one bit per region attached to every
-    edge) and for visited marks in graph traversals. *)
+    edge), for visited marks in graph traversals and for the per-pair
+    region-set and subgraph accumulators of index pre-computation. *)
 
 type t
 
@@ -43,6 +44,9 @@ val equal : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate set bits in increasing order. *)
+
+val to_array : t -> int array
+(** Members in increasing order. *)
 
 val to_list : t -> int list
 (** Members in increasing order. *)

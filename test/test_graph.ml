@@ -159,6 +159,21 @@ let dijkstra_path_valid =
       done;
       !ok)
 
+let dijkstra_workspace_reuse =
+  qtest "tree_in on a reused workspace = tree" random_graph_gen (fun spec ->
+      let g = build_random spec in
+      let ws = Psp_graph.Dijkstra.workspace g in
+      let same (a : Psp_graph.Dijkstra.spt) (b : Psp_graph.Dijkstra.spt) =
+        a.dist = b.dist && a.parent = b.parent && a.parent_edge = b.parent_edge
+        && a.settled = b.settled
+      in
+      (* every source in turn, so each search starts from the previous
+         one's leftovers *)
+      List.for_all
+        (fun source ->
+          same (Psp_graph.Dijkstra.tree_in ws ~source) (Psp_graph.Dijkstra.tree g ~source))
+        (List.init (G.node_count g) Fun.id))
+
 let test_dijkstra_tree_until () =
   let g = diamond () in
   let spt = Psp_graph.Dijkstra.tree_until g ~source:0 ~targets:[ 1 ] in
@@ -351,7 +366,8 @@ let () =
           dijkstra_path_valid;
           Alcotest.test_case "tree_until" `Quick test_dijkstra_tree_until;
           Alcotest.test_case "restricted" `Quick test_dijkstra_restricted;
-          Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable ] );
+          Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
+          dijkstra_workspace_reuse ] );
       ( "astar",
         [ astar_equals_dijkstra;
           Alcotest.test_case "visited order" `Quick test_astar_visited_order ] );

@@ -235,6 +235,137 @@ let test_histogram_sums_to_pairs () =
     (Psp_index.Precompute.max_set_cardinality pre)
     (Array.length h - 1)
 
+(* Differential oracle: the straightforward per-walk algorithm, kept
+   here as the reference.  One shortest-path tree per border node, then
+   the full parent chain from every other reachable border node, each
+   chain's regions and edges inserted into per-pair hash tables. *)
+let reference_precompute g ~assignment ~border =
+  let module B = Psp_partition.Border in
+  let rc = B.region_count border in
+  let idx = Psp_index.Precompute.pair_index ~region_count:rc in
+  let pairs = rc * (rc + 1) / 2 in
+  let borders_of = Array.make (G.node_count g) [] in
+  for r = 0 to rc - 1 do
+    Array.iter (fun v -> borders_of.(v) <- r :: borders_of.(v)) (B.border_nodes border r)
+  done;
+  let sets = Array.init pairs (fun _ : (int, unit) Hashtbl.t -> Hashtbl.create 4) in
+  let subs = Array.init pairs (fun _ : (int, unit) Hashtbl.t -> Hashtbl.create 4) in
+  let sources = B.all_border_nodes border in
+  Array.iter
+    (fun src ->
+      let spt = Psp_graph.Dijkstra.tree g ~source:src in
+      Array.iter
+        (fun dst ->
+          if spt.Psp_graph.Dijkstra.dist.(dst) < infinity then begin
+            let regions = ref [ assignment.(dst) ] and edges = ref [] in
+            let v = ref dst in
+            while spt.Psp_graph.Dijkstra.parent_edge.(!v) >= 0 do
+              edges := spt.Psp_graph.Dijkstra.parent_edge.(!v) :: !edges;
+              v := spt.Psp_graph.Dijkstra.parent.(!v);
+              regions := assignment.(!v) :: !regions
+            done;
+            List.iter
+              (fun i ->
+                List.iter
+                  (fun j ->
+                    let p = idx i j in
+                    List.iter
+                      (fun r -> if r <> i && r <> j then Hashtbl.replace sets.(p) r ())
+                      !regions;
+                    List.iter (fun e -> Hashtbl.replace subs.(p) e ()) !edges)
+                  borders_of.(dst))
+              borders_of.(src)
+          end)
+        sources)
+    sources;
+  for i = 0 to rc - 1 do
+    for j = 0 to rc - 1 do
+      Array.iter (fun e -> Hashtbl.replace subs.(idx i j) e ()) (B.entering_edges border i)
+    done
+  done;
+  let sorted table =
+    Array.of_list (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) table []))
+  in
+  (Array.map sorted sets, Array.map sorted subs)
+
+(* Two grid components with no edge between them (border pairs across
+   the gap have dist = infinity), plus a few one-way streets. *)
+let disconnected_network () =
+  let b = G.Builder.create () in
+  let side = 7 in
+  let grid x0 =
+    let id = Array.init (side * side) (fun k ->
+        G.Builder.add_node b
+          ~x:(x0 +. (10.0 *. float_of_int (k mod side)))
+          ~y:(10.0 *. float_of_int (k / side)))
+    in
+    for k = 0 to (side * side) - 1 do
+      let w = 10.0 +. float_of_int (k mod 3) in
+      if k mod side < side - 1 then G.Builder.add_undirected b id.(k) id.(k + 1) w;
+      if k / side < side - 1 then G.Builder.add_undirected b id.(k) id.(k + side) w
+    done;
+    id
+  in
+  let left = grid 0.0 and right = grid 100.0 in
+  G.Builder.add_edge b left.(3) left.(40) 25.0;
+  G.Builder.add_edge b right.(44) right.(2) 25.0;
+  G.Builder.freeze b
+
+let check_precompute_matches_reference g ~capacity ~domains ~want_sets ~want_subgraphs =
+  let node_bytes = E.node_bytes E.plain_config g in
+  let t = K.build_packed g ~node_bytes ~capacity in
+  let b = Psp_partition.Border.compute g ~assignment:t.K.assignment ~region_count:t.K.region_count in
+  let pre =
+    Psp_index.Precompute.compute ~domains g ~assignment:t.K.assignment ~border:b ~want_sets
+      ~want_subgraphs
+  in
+  let ref_sets, ref_subs = reference_precompute g ~assignment:t.K.assignment ~border:b in
+  let rc = t.K.region_count in
+  let missing f i j = match f pre i j with _ -> false | exception Invalid_argument _ -> true in
+  let ok = ref (Psp_index.Precompute.pair_count pre = Array.length ref_sets) in
+  for i = 0 to rc - 1 do
+    for j = 0 to rc - 1 do
+      let p = Psp_index.Precompute.pair_index ~region_count:rc i j in
+      let agrees want f expected =
+        if want then f pre i j = expected.(p) else missing f i j
+      in
+      if not (agrees want_sets Psp_index.Precompute.region_set ref_sets
+              && agrees want_subgraphs Psp_index.Precompute.subgraph ref_subs)
+      then ok := false
+    done
+  done;
+  !ok
+
+let wants = [| (true, false); (false, true); (true, true) |]
+
+let precompute_matches_reference =
+  qtest ~count:20 "precompute = per-walk reference (synthetic)"
+    QCheck2.Gen.(
+      tup5 (int_range 60 400) (int_bound 10_000) (oneofl [ 150; 300; 600 ])
+        (oneofl [ 1; 3 ]) (int_bound 2))
+    (fun (nodes, seed, capacity, domains, w) ->
+      let want_sets, want_subgraphs = wants.(w) in
+      check_precompute_matches_reference (network ~nodes ~seed ()) ~capacity ~domains
+        ~want_sets ~want_subgraphs)
+
+let test_precompute_disconnected_matches_reference () =
+  let g = disconnected_network () in
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun domains ->
+          Array.iter
+            (fun (want_sets, want_subgraphs) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "capacity %d, %d domains, sets %b, subgraphs %b" capacity
+                   domains want_sets want_subgraphs)
+                true
+                (check_precompute_matches_reference g ~capacity ~domains ~want_sets
+                   ~want_subgraphs))
+            wants)
+        [ 1; 3 ])
+    [ 120; 300 ]
+
 (* ------------------------------------------------------------------ *)
 (* Fi_builder *)
 
@@ -536,6 +667,46 @@ let test_with_plan () =
   | QP.Lm { total_data_pages } -> Alcotest.(check int) "plan replaced" 5 total_data_pages
   | _ -> Alcotest.fail "wrong plan"
 
+(* Known answer: a digest over every page of every file of the CI, PI,
+   HY and PI* databases built from one fixed network.  Set-up
+   optimisations in Precompute or Fi_builder must leave each published
+   byte unchanged; a deliberate format change updates these digests. *)
+let database_digest db =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun f ->
+      Buffer.add_string buf (Printf.sprintf "%s:%d;" (PF.name f) (PF.page_count f));
+      PF.iter_pages f (fun _ page -> Buffer.add_bytes buf page))
+    (DB.files db);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_digests =
+  [ ("CI", "006b31a06e0c7f2747d81c934ae5b8d3");
+    ("PI", "d27ea644eaf4964beb47ff27d42a5b22");
+    ("HY", "581a93277d3d901ef95fd68d83928a47");
+    ("PI*", "32d36a4bfc3fb8883ecd4971908ca78c");
+    ("CI prepared", "006b31a06e0c7f2747d81c934ae5b8d3");
+    ("PI prepared", "d27ea644eaf4964beb47ff27d42a5b22");
+    ("HY prepared", "581a93277d3d901ef95fd68d83928a47") ]
+
+let test_database_pages_pinned () =
+  let g = network ~nodes:600 ~seed:5 () in
+  let prepared = DB.prepare ~page_size:512 g in
+  let build = function
+    | "CI" -> DB.build_ci ~page_size:512 g
+    | "PI" -> DB.build_pi ~page_size:512 g
+    | "HY" -> DB.build_hy ~threshold:6 ~page_size:512 g
+    | "PI*" -> DB.build_pi_star ~cluster:3 ~page_size:512 g
+    | "CI prepared" -> DB.build_ci ~prepared ~page_size:512 g
+    | "PI prepared" -> DB.build_pi ~prepared ~page_size:512 g
+    | "HY prepared" -> DB.build_hy ~prepared ~threshold:6 ~page_size:512 g
+    | name -> Alcotest.failf "no builder for %s" name
+  in
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) (name ^ " page digest") digest (database_digest (build name)))
+    pinned_digests
+
 let () =
   Alcotest.run "index"
     [ ( "encoding",
@@ -549,7 +720,10 @@ let () =
           Alcotest.test_case "diagonal" `Quick test_precompute_diagonal_exists;
           Alcotest.test_case "parallel = sequential" `Quick test_precompute_parallel_equals_sequential;
           Alcotest.test_case "pair index" `Quick test_pair_index_bijective;
-          Alcotest.test_case "histogram" `Quick test_histogram_sums_to_pairs ] );
+          Alcotest.test_case "histogram" `Quick test_histogram_sums_to_pairs;
+          Alcotest.test_case "disconnected = reference" `Quick
+            test_precompute_disconnected_matches_reference;
+          precompute_matches_reference ] );
       ( "fi_builder",
         [ Alcotest.test_case "decode superset" `Quick test_fi_builder_decode_superset;
           Alcotest.test_case "subgraph roundtrip" `Quick test_fi_builder_subgraph_roundtrip;
@@ -570,4 +744,5 @@ let () =
           Alcotest.test_case "PI* cluster" `Quick test_pi_star_cluster;
           Alcotest.test_case "PI* shrinks index" `Slow test_pi_star_shrinks_index;
           Alcotest.test_case "LM/AF structure" `Quick test_lm_af_structure;
-          Alcotest.test_case "with_plan" `Quick test_with_plan ] ) ]
+          Alcotest.test_case "with_plan" `Quick test_with_plan;
+          Alcotest.test_case "pages pinned" `Quick test_database_pages_pinned ] ) ]

@@ -193,6 +193,45 @@ let test_bitset_mismatch () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Bitset.union_into: capacity mismatch")
     (fun () -> Bitset.union_into ~dst:a b)
 
+let bitset_to_array =
+  qtest "bitset to_array = sorted members"
+    QCheck2.Gen.(pair (int_range 1 400) (list (int_bound 399)))
+    (fun (n, items) ->
+      let items = List.filter (fun i -> i < n) items in
+      Bitset.to_array (Bitset.of_list n items) = Array.of_list (List.sort_uniq compare items))
+
+(* ------------------------------------------------------------------ *)
+(* Sorted_ints: checked against the list-based definitions *)
+
+let sorted_set =
+  QCheck2.Gen.(
+    map (fun l -> Array.of_list (List.sort_uniq compare l)) (list (int_range (-40) 40)))
+
+let sorted_ints_of_array =
+  qtest "sorted_ints of_array = sort_uniq"
+    QCheck2.Gen.(list (int_range (-40) 40))
+    (fun l ->
+      let a = Array.of_list l in
+      let before = Array.copy a in
+      Sorted_ints.of_array a = Array.of_list (List.sort_uniq compare l) && a = before)
+
+(* decode runs union/diff on arrays read from server bytes *)
+let sorted_ints_total =
+  qtest "sorted_ints union/diff never raise on unsorted input"
+    QCheck2.Gen.(pair (list (int_range (-40) 40)) (list (int_range (-40) 40)))
+    (fun (la, lb) ->
+      let a = Array.of_list la and b = Array.of_list lb in
+      let within l r = Array.for_all (fun x -> List.mem x l) r in
+      within (la @ lb) (Sorted_ints.union a b) && within la (Sorted_ints.diff a b))
+
+let sorted_ints_algebra =
+  qtest "sorted_ints union/diff/inter_cardinal" QCheck2.Gen.(pair sorted_set sorted_set)
+    (fun (a, b) ->
+      let la = Array.to_list a and lb = Array.to_list b in
+      Sorted_ints.union a b = Array.of_list (List.sort_uniq compare (la @ lb))
+      && Sorted_ints.diff a b = Array.of_list (List.filter (fun x -> not (List.mem x lb)) la)
+      && Sorted_ints.inter_cardinal a b = List.length (List.filter (fun x -> List.mem x lb) la))
+
 (* ------------------------------------------------------------------ *)
 (* Byte_io *)
 
@@ -282,7 +321,9 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_bitset_basics;
           bitset_bytes_roundtrip;
           Alcotest.test_case "union/inter" `Quick test_bitset_union_inter;
-          Alcotest.test_case "mismatch" `Quick test_bitset_mismatch ] );
+          Alcotest.test_case "mismatch" `Quick test_bitset_mismatch;
+          bitset_to_array ] );
+      ("sorted_ints", [ sorted_ints_of_array; sorted_ints_algebra; sorted_ints_total ]);
       ( "byte_io",
         [ Alcotest.test_case "scalars" `Quick test_byte_io_scalars;
           varint_roundtrip;
